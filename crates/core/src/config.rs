@@ -215,7 +215,9 @@ impl Default for PimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
     /// Worker threads the execution engine uses to simulate PUs
-    /// concurrently. `None` (the default) picks
+    /// concurrently — the simulator's one multi-core axis: each thread
+    /// runs whole PUs (merge tree and its rank's DRAM together), and
+    /// nothing inside a PU is threaded. `None` (the default) picks
     /// `min(available_parallelism, num_pus)`; `Some(n)` clamps `n` to
     /// `[1, num_pus]`. PUs share nothing (§3.5), so any thread count
     /// produces bit-identical outputs and statistics.

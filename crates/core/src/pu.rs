@@ -3,8 +3,6 @@
 //! one DRAM rank simulated cycle-accurately by [`menda_dram`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use menda_dram::{MemRequest, MemorySystem, ReqKind};
 use menda_sparse::CsrMatrix;
@@ -555,56 +553,6 @@ impl LeafSource for BufferPorts<'_> {
     }
 }
 
-/// How the epoch drain reaches the PU's memory system: directly
-/// (serial), or through a mutex shared with a scoped worker thread
-/// that advances the DRAM clock in the background (the pipelined
-/// multi-core mode, `SimOptions::threads > 1`). `MemorySystem::advance`
-/// is tick-exact toward a given absolute target no matter which thread
-/// executes which span, so both modes land on bit-identical memory
-/// state — enforced by the thread-count differential suites and the
-/// DRAM command-log comparison.
-enum EpochMem<'a, 'm> {
-    /// Direct access (serial epoch drain).
-    Serial(&'a mut MemorySystem),
-    /// Shared with a background ticking worker. `target` is the
-    /// absolute bus cycle the worker may advance to — published by the
-    /// main thread once per completed epoch cycle, always the next
-    /// cycle's issue-time clock, so the worker can never overshoot an
-    /// early epoch exit.
-    Overlap {
-        mem: &'a Mutex<&'m mut MemorySystem>,
-        target: &'a AtomicU64,
-    },
-}
-
-impl EpochMem<'_, '_> {
-    /// Applies the deferred DRAM ticks — brings the memory system to
-    /// absolute bus cycle `target` — then runs `f` on it. One lock
-    /// acquisition covers both in overlap mode, so an issue cycle
-    /// cannot interleave with the worker between catch-up and issue.
-    fn sync<R>(&mut self, target: u64, f: impl FnOnce(&mut MemorySystem) -> R) -> R {
-        match self {
-            EpochMem::Serial(mem) => {
-                ProcessingUnit::epoch_advance_to(mem, target);
-                f(mem)
-            }
-            EpochMem::Overlap { mem, .. } => {
-                let mut m = mem.lock().expect("DRAM ticking worker panicked");
-                ProcessingUnit::epoch_advance_to(&mut m, target);
-                f(&mut m)
-            }
-        }
-    }
-
-    /// Publishes the bus-cycle target the background worker may
-    /// advance to (no-op in serial mode).
-    fn publish(&self, target_now: u64) {
-        if let EpochMem::Overlap { target, .. } = self {
-            target.store(target_now, Ordering::Release);
-        }
-    }
-}
-
 /// Instrumentation state of one PU (see the `menda-trace` crate): a
 /// cycle-stamped tracer on track 0 plus occupancy histograms and counters
 /// maintained by purely observational hooks in
@@ -696,11 +644,6 @@ pub struct ProcessingUnit {
     /// only the steps that can still act. Results are bit-identical
     /// either way.
     epoch: bool,
-    /// Pipelined multi-core mode (`SimOptions::threads > 1`): long
-    /// epochs hand the rank's DRAM ticking to a scoped worker thread
-    /// overlapped with the merge-tree compute. Results are
-    /// bit-identical for every thread count.
-    overlap: bool,
     /// Instrumentation state; `None` when tracing is off. Purely
     /// observational — it never feeds back into the simulation.
     trace: Option<PuTraceState>,
@@ -723,7 +666,6 @@ impl ProcessingUnit {
             next_req_id: 0,
             fast_forward: config.sim.fast_forward,
             epoch: config.sim.epoch,
-            overlap: config.sim.threads.is_some_and(|t| t > 1),
             trace: PuTraceState::new(&config.trace, &config.pu),
             pu_cfg: config.pu.clone(),
             ticks: config.dram_ticks_ratio(),
@@ -1100,91 +1042,16 @@ impl ProcessingUnit {
                                 }
                             }
                         }
-                        const OVERLAP_MIN_CYCLES: u64 = 1024;
-                        let lazy = if self.overlap
-                            && self.trace.is_none()
-                            && remaining >= OVERLAP_MIN_CYCLES
-                        {
-                            // Pipelined multi-core mode: a scoped worker
-                            // ticks the rank's DRAM toward the published
-                            // per-cycle target while this thread runs
-                            // the merge tree. Chunked advances to the
-                            // same monotone targets are tick-exact, so
-                            // the final memory state matches the serial
-                            // drain bit for bit. (Gated on tracing-off:
-                            // idle-span trace events depend on chunk
-                            // boundaries, which are timing-dependent
-                            // here.)
-                            let mem = Mutex::new(&mut self.mem);
-                            let target = AtomicU64::new(now0);
-                            let done = AtomicBool::new(false);
-                            std::thread::scope(|scope| {
-                                scope.spawn(|| {
-                                    while !done.load(Ordering::Acquire) {
-                                        let t = target.load(Ordering::Acquire);
-                                        let mut caught_up = true;
-                                        {
-                                            let mut m = mem.lock().expect("epoch main panicked");
-                                            let mnow = m.now();
-                                            if mnow < t {
-                                                // Short chunks bound the
-                                                // lock hold time so issue
-                                                // cycles never stall long.
-                                                ProcessingUnit::epoch_advance_to(
-                                                    &mut m,
-                                                    t.min(mnow + 256),
-                                                );
-                                                caught_up = false;
-                                            }
-                                        }
-                                        if caught_up {
-                                            std::thread::yield_now();
-                                        }
-                                    }
-                                });
-                                let lazy = Self::epoch_drain(
-                                    &mut self.trace,
-                                    &mut self.next_req_id,
-                                    EpochMem::Overlap {
-                                        mem: &mem,
-                                        target: &target,
-                                    },
-                                    &pu_cfg,
-                                    &layout,
-                                    p,
-                                    st,
-                                    total_rounds,
-                                    elem_bytes,
-                                    count_feed,
-                                    (dram_num, dram_den),
-                                    now0,
-                                    self.dram_tick_accum,
-                                    remaining,
-                                    max_cycles,
-                                );
-                                done.store(true, Ordering::Release);
-                                lazy
-                            })
-                        } else {
-                            Self::epoch_drain(
-                                &mut self.trace,
-                                &mut self.next_req_id,
-                                EpochMem::Serial(&mut self.mem),
-                                &pu_cfg,
-                                &layout,
-                                p,
-                                st,
-                                total_rounds,
-                                elem_bytes,
-                                count_feed,
-                                (dram_num, dram_den),
-                                now0,
-                                self.dram_tick_accum,
-                                remaining,
-                                max_cycles,
-                            )
-                        };
-                        self.dram_tick_accum = lazy % dram_den;
+                        self.epoch_drain(
+                            p,
+                            st,
+                            total_rounds,
+                            elem_bytes,
+                            count_feed,
+                            now0,
+                            remaining,
+                            max_cycles,
+                        );
                         continue;
                     }
                 }
@@ -1673,27 +1540,26 @@ impl ProcessingUnit {
     /// ticks into `lazy` and flushing them in bulk on cycles that
     /// touch the memory system. Every observable interaction happens
     /// at the same cycle and the same memory time as the per-cycle
-    /// path. Returns the final deferred-tick total; the caller folds
-    /// it back into `dram_tick_accum`.
+    /// path. On exit the memory system is at the current bus cycle and
+    /// `dram_tick_accum` holds the sub-cycle remainder, as the
+    /// per-cycle loop expects.
     #[allow(clippy::too_many_arguments)]
     fn epoch_drain(
-        trace: &mut Option<PuTraceState>,
-        next_req_id: &mut u64,
-        mut emem: EpochMem<'_, '_>,
-        pu_cfg: &PuConfig,
-        layout: &AddressLayout,
+        &mut self,
         p: &IterParams<'_>,
         st: &mut IterState,
         total_rounds: usize,
         elem_bytes: u64,
         count_feed: bool,
-        (dram_num, dram_den): (u64, u64),
         mem_base: u64,
-        lazy0: u64,
         mut remaining: u64,
         max_cycles: u64,
-    ) -> u64 {
-        let mut lazy = lazy0;
+    ) {
+        let (dram_num, dram_den) = self.ticks;
+        let pu_cfg = &self.pu_cfg;
+        let mem = &mut self.mem;
+        let next_req_id = &mut self.next_req_id;
+        let mut lazy = self.dram_tick_accum;
         loop {
             st.cycles += 1;
             assert!(st.cycles < max_cycles, "PU deadlock suspected");
@@ -1705,62 +1571,56 @@ impl ProcessingUnit {
             });
             let mut cap_after = u64::MAX;
             if host_due || st.read_q.next_to_issue().is_some() || !st.write_q.is_empty() {
-                let target = mem_base + lazy / dram_den;
-                cap_after = emem.sync(target, |mem| {
-                    let mut cap = u64::MAX;
-                    if let Some(block) = st.read_q.next_to_issue() {
-                        let req = MemRequest::read(block, *next_req_id);
-                        if mem.can_accept(&req) && mem.try_enqueue(req) {
-                            *next_req_id += 1;
-                            st.read_q.mark_issued(block);
-                            st.it.loads_issued += 1;
-                            // The fresh read shrinks the horizon: a
-                            // store-to-load forwarded response can
-                            // mature on the very next bus cycle.
-                            let r = mem
-                                .earliest_read_response_at(HOST_REQ_BIT)
-                                .expect("a read was just enqueued");
-                            debug_assert!(r > mem.now(), "epoch bound violated");
-                            let span = (r - mem.now()) * dram_den;
-                            cap = (span - 1 - lazy % dram_den) / dram_num;
-                        }
+                Self::epoch_advance_to(mem, mem_base + lazy / dram_den);
+                if let Some(block) = st.read_q.next_to_issue() {
+                    let req = MemRequest::read(block, *next_req_id);
+                    if mem.can_accept(&req) && mem.try_enqueue(req) {
+                        *next_req_id += 1;
+                        st.read_q.mark_issued(block);
+                        st.it.loads_issued += 1;
+                        // The fresh read shrinks the horizon: a
+                        // store-to-load forwarded response can
+                        // mature on the very next bus cycle.
+                        let r = mem
+                            .earliest_read_response_at(HOST_REQ_BIT)
+                            .expect("a read was just enqueued");
+                        debug_assert!(r > mem.now(), "epoch bound violated");
+                        let span = (r - mem.now()) * dram_den;
+                        cap_after = (span - 1 - lazy % dram_den) / dram_num;
                     }
-                    if host_due {
-                        let interval = pu_cfg.host_read_interval.expect("host_due");
-                        let addr = 0xC000_0000u64
-                            + (st.cycles / interval).wrapping_mul(0x9E37) % (64 << 20);
-                        let req = MemRequest::read(addr & !63, HOST_REQ_BIT | st.cycles);
-                        if mem.can_accept(&req) {
-                            let _ = mem.try_enqueue(req);
-                        }
+                }
+                if host_due {
+                    let interval = pu_cfg.host_read_interval.expect("host_due");
+                    let addr =
+                        0xC000_0000u64 + (st.cycles / interval).wrapping_mul(0x9E37) % (64 << 20);
+                    let req = MemRequest::read(addr & !63, HOST_REQ_BIT | st.cycles);
+                    if mem.can_accept(&req) {
+                        let _ = mem.try_enqueue(req);
                     }
-                    if let Some(&block) = st.write_q.front() {
-                        let req = MemRequest::write(block, *next_req_id);
-                        if mem.can_accept(&req) && mem.try_enqueue(req) {
-                            *next_req_id += 1;
-                            st.write_q.pop_front();
-                            st.it.stores_issued += 1;
-                        }
+                }
+                if let Some(&block) = st.write_q.front() {
+                    let req = MemRequest::write(block, *next_req_id);
+                    if mem.can_accept(&req) && mem.try_enqueue(req) {
+                        *next_req_id += 1;
+                        st.write_q.pop_front();
+                        st.it.stores_issued += 1;
                     }
-                    cap
-                });
+                }
             }
             // Step 5 replica; steps 1, 3, and 4 are provably frozen.
             let (popped, awoken_any) = Self::tree_cycle(
-                trace,
+                &mut self.trace,
                 true,
                 count_feed,
                 pu_cfg,
-                layout,
+                &self.layout,
                 p,
                 st,
                 total_rounds,
                 elem_bytes,
             );
-            // Step 6, deferred; the published target lets the overlap
-            // worker tick the rank up to the next cycle's issue time.
+            // Step 6, deferred.
             lazy += dram_num;
-            emem.publish(mem_base + lazy / dram_den);
             remaining = (remaining - 1).min(cap_after);
             if remaining == 0
                 || awoken_any
@@ -1772,8 +1632,8 @@ impl ProcessingUnit {
         }
         // Re-establish the per-cycle invariant (memory time current,
         // accumulator sub-cycle) before rejoining the outer loop.
-        emem.sync(mem_base + lazy / dram_den, |_| ());
-        lazy
+        Self::epoch_advance_to(mem, mem_base + lazy / dram_den);
+        self.dram_tick_accum = lazy % dram_den;
     }
 
     /// Finalizes one iteration driven through [`ProcessingUnit::iter_loop`]:

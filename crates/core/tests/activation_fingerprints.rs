@@ -20,12 +20,12 @@
 //! it in release). The scale-64/32 tiers pin the same seeds at reduced
 //! size and run on every `cargo test`.
 //!
-//! ISSUE 10 extends the ladder: scale-8 fingerprints for both
-//! accelerator backends (MeNDA merge-tree PU and the SparseP-style PIM
-//! model), PIM fingerprints at the everyday tiers, and an invariance
-//! test proving every pinned count holds across epoch batching on/off
-//! and host thread counts 1/2/4 — the coarse-grained epoch calculus and
-//! the pipelined multi-core mode are wall-clock modes only.
+//! The ladder also holds scale-8 fingerprints for both accelerator
+//! backends (MeNDA merge-tree PU and the SparseP-style PIM model), PIM
+//! fingerprints at the everyday tiers, and an invariance test proving
+//! every pinned count holds across epoch batching on/off and host
+//! thread counts 1/2/4 — the coarse-grained epoch calculus and
+//! PU-parallel engine runs are wall-clock modes only.
 
 use menda_core::{spmv, BackendKind, MendaConfig, MendaSystem};
 use menda_sparse::gen;
@@ -182,11 +182,12 @@ fn pim_scale32_fingerprints_hold() {
     check_pim("P1", 32, p1, 62080, 49211, true);
 }
 
-/// Epoch batching and pipelined multi-core ticking are pure wall-clock
+/// Epoch batching and PU-parallel engine runs are pure wall-clock
 /// modes: every pinned fingerprint must hold at every (threads, epoch)
-/// combination, on the fast-forward path where both knobs live. A moved
-/// count here means the epoch credit bound or the worker pipeline
-/// changed *observable* simulation state, not just its schedule.
+/// combination, on the fast-forward path where the epoch knob lives. A
+/// moved count here means the epoch credit bound or the engine's
+/// per-PU scheduling changed *observable* simulation state, not just
+/// its schedule.
 #[test]
 fn fingerprints_invariant_across_epoch_and_threads() {
     let (n1, p1) = seeds();

@@ -162,8 +162,8 @@ fn fast_forward_scale8_paper_config_is_bit_identical() {
     });
 }
 
-/// The threads × epoch differential matrix (ISSUE 10): every
-/// combination of host worker threads (serial and pipelined multi-core),
+/// The threads × epoch differential matrix: every combination of host
+/// worker threads (serial and PU-parallel engine runs),
 /// epoch batching (coarse-grained drains vs per-cycle fast-forward
 /// stepping) and execution path (fast-forward vs per-cycle reference)
 /// must reproduce one golden serial reference run bit for bit — output,
