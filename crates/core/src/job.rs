@@ -319,7 +319,7 @@ impl JobRun {
                 None => {
                     let st = IterState::new(pu, &p);
                     if st.trivially_done {
-                        // Mirror `run_rounds`: no trace span, default
+                        // No streams: no trace span, default
                         // statistics, empty output.
                         self.iter_stats.push(st.it);
                         self.prev = (Vec::new(), Vec::new(), Vec::new());

@@ -1106,17 +1106,14 @@ impl Default for Digest {
 }
 
 impl Digest {
-    /// A fresh digest at the FNV offset basis.
+    /// A fresh digest at the FNV offset basis (the hash of no bytes).
     pub fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(menda_dram::fnv1a(&[]))
     }
 
     /// Absorbs raw bytes.
     pub fn push_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = menda_dram::fnv1a_extend(self.0, bytes);
     }
 
     fn push_usize_slice(&mut self, xs: &[usize]) {

@@ -49,7 +49,7 @@ use crate::job::{FinalOutput, IntermediateFormat, PuJob};
 use crate::layout::{AddressLayout, BLOCK_BYTES, PTR_BYTES};
 use crate::merge_tree::Packet;
 use crate::prefetch::{StreamDescriptor, StreamKind};
-use crate::pu::PuResult;
+use crate::pu::{BusClock, PuResult};
 use crate::stats::{IterationStats, PuStats};
 
 /// Bytes of one sorted-run element resident in WRAM during a local sort.
@@ -123,10 +123,11 @@ impl From<PimRankResult> for PuResult {
 #[derive(Debug)]
 pub struct PimUnit {
     cfg: PimConfig,
-    /// DRAM bus cycles per DPU cycle as a (numerator, denominator) ratio.
-    ticks: (u64, u64),
+    /// DPU-clock to DRAM-bus-clock crossing.
+    clock: BusClock,
     layout: AddressLayout,
     mem: MemorySystem,
+    /// Sub-bus-cycle remainder of the clock crossing.
     dram_tick_accum: u64,
     next_req_id: u64,
     /// DPU-clock cycles elapsed across every job run on this unit.
@@ -153,7 +154,7 @@ impl PimUnit {
         dram.trace = config.trace;
         Self {
             cfg: config.pim.clone(),
-            ticks: (config.dram.clock_mhz, config.pim.frequency_mhz),
+            clock: BusClock::new((config.dram.clock_mhz, config.pim.frequency_mhz)),
             layout: AddressLayout::rank_default(),
             mem: MemorySystem::new(dram),
             dram_tick_accum: 0,
@@ -272,21 +273,15 @@ impl PimUnit {
         }
     }
 
-    /// Advances to DPU cycle `cycle` during a compute-only span. The rank
-    /// is idle here, so the tick-exact [`MemorySystem::advance`] is
-    /// bit-identical to per-cycle ticking in both execution disciplines
-    /// (and to any split of the span — the tick accumulator carries the
-    /// remainder, so `advance_to(a); advance_to(b)` equals
-    /// `advance_to(b)` by the floor-division identity).
-    fn advance_to(&mut self, cycle: u64) {
-        if cycle <= self.cycles {
-            return;
-        }
-        let (num, den) = self.ticks;
-        let ticks = self.dram_tick_accum + (cycle - self.cycles) * num;
-        self.mem.advance(ticks / den);
-        self.dram_tick_accum = ticks % den;
-        self.cycles = cycle;
+    /// Advances `n` DPU cycles with no request issued or response popped
+    /// on the way — a compute-only span or a provably event-free skip.
+    /// The tick-exact [`MemorySystem::advance`] makes this bit-identical
+    /// to per-cycle stepping in both execution disciplines, and to any
+    /// split of the span (the tick accumulator carries the remainder).
+    fn elapse(&mut self, n: u64) {
+        self.clock
+            .advance(&mut self.mem, &mut self.dram_tick_accum, n);
+        self.cycles += n;
     }
 
     /// Serializes the unit-level dynamic state: clocks, request ids, the
@@ -306,11 +301,7 @@ impl PimUnit {
     /// freshly built unit of the same configuration.
     pub(crate) fn restore_unit_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
         self.cycles = dec.u64()?;
-        let accum = dec.u64()?;
-        if accum >= self.ticks.1 {
-            return Err(SnapError::BadValue);
-        }
-        self.dram_tick_accum = accum;
+        self.dram_tick_accum = self.clock.check_accum(dec.u64()?)?;
         self.next_req_id = dec.u64()?;
         self.trace_loads = dec.u64()?;
         self.trace_stores = dec.u64()?;
@@ -560,7 +551,7 @@ impl PimRun {
     }
 
     /// The slowest active core's completion cycle for the sort barrier
-    /// (`advance_to` caps it below at the current cycle).
+    /// (a barrier already passed is reached immediately).
     fn sort_barrier_target(&self) -> u64 {
         let dispatch_done = self.arrivals[self.d];
         let mut barrier = 0u64;
@@ -580,6 +571,114 @@ impl PimRun {
         self.drive_id_base = unit.next_req_id;
     }
 
+    /// Drives the current drive phase's requests through the rank port in
+    /// order, one per DPU cycle when the channel accepts, ticking DRAM at
+    /// the clock ratio, until every request has been issued and the rank
+    /// is idle (`true`) or the unit's cycle count reaches `pause_abs`
+    /// (`false`). Records each read's completion cycle in the phase's
+    /// arrival slot for its tag (last arrival wins — tags are keyed so
+    /// that the *latest* arrival is what gates compute). With
+    /// fast-forwarding on, provably event-free spans are skipped with the
+    /// same bound as the PU (capped at the pause target); results are
+    /// bit-identical across pause points and execution disciplines.
+    fn drive(&mut self, unit: &mut PimUnit, pause_abs: Option<u64>) -> bool {
+        let (reqs, write, it, arrivals) = match self.phase {
+            PimPhase::LoadStreams => (&self.reads, false, &mut self.it_a, &mut self.arrivals),
+            PimPhase::WriteRuns => (&self.run_blocks, true, &mut self.it_a, &mut self.arrivals),
+            PimPhase::ReadRuns => (
+                &self.read_back,
+                false,
+                &mut self.it_b,
+                &mut self.merge_arrival,
+            ),
+            PimPhase::WriteOut => (
+                &self.out_blocks,
+                true,
+                &mut self.it_b,
+                &mut self.merge_arrival,
+            ),
+            PimPhase::SortBarrier | PimPhase::MergeBarrier | PimPhase::Done => {
+                unreachable!("not a drive phase")
+            }
+        };
+        let request = |addr: u64, id: u64| {
+            if write {
+                MemRequest::write(addr, id)
+            } else {
+                MemRequest::read(addr, id)
+            }
+        };
+        loop {
+            if self.next >= reqs.len() && unit.mem.is_idle() {
+                return true;
+            }
+            let budget = match pause_abs {
+                Some(t) if unit.cycles >= t => return false,
+                Some(t) => t - unit.cycles,
+                None => u64::MAX,
+            };
+            if unit.fast_forward {
+                let can_issue = self.next < reqs.len()
+                    && unit
+                        .mem
+                        .can_accept(&request(reqs[self.next].0, unit.next_req_id));
+                let resp_ready = unit
+                    .mem
+                    .next_response_at()
+                    .is_some_and(|t| t <= unit.mem.now());
+                if !can_issue && !resp_ready {
+                    // Longest skip that keeps the DRAM side unobserved (same
+                    // bound as the PU's quiescence skip), shortened to land
+                    // exactly on the pause target when one is set.
+                    let ev = unit
+                        .mem
+                        .next_event_cycle()
+                        .expect("PIM deadlock suspected: quiescent with no pending events");
+                    let n = unit
+                        .clock
+                        .cycles_before(ev - unit.mem.now(), unit.dram_tick_accum);
+                    unit.elapse(n.min(budget));
+                    continue;
+                }
+            }
+            unit.cycles += 1;
+            // 1. Responses that completed by now. The id lookup is bounds-
+            //    checked so a corrupt restored queue cannot panic; in-range
+            //    execution behaves identically to direct indexing.
+            while let Some(resp) = unit.mem.pop_response() {
+                if resp.kind == ReqKind::Read {
+                    let i = resp.id.wrapping_sub(self.drive_id_base) as usize;
+                    if let Some(&(_, tag)) = reqs.get(i) {
+                        if let Some(slot) = arrivals.get_mut(tag) {
+                            *slot = unit.cycles;
+                        }
+                    }
+                }
+            }
+            // 2. Issue the next request if the channel accepts it. Probe
+            //    before enqueueing so a full queue is not counted as a
+            //    rejection (the fast-forward path never attempts one;
+            //    statistics must match it bit for bit).
+            if self.next < reqs.len() {
+                let req = request(reqs[self.next].0, unit.next_req_id);
+                if unit.mem.can_accept(&req) && unit.mem.try_enqueue(req) {
+                    unit.next_req_id += 1;
+                    self.next += 1;
+                    if write {
+                        it.stores_issued += 1;
+                        unit.trace_stores += 1;
+                    } else {
+                        it.loads_issued += 1;
+                        unit.trace_loads += 1;
+                    }
+                }
+            }
+            // 3. DRAM clock (bus runs num : den faster than the DPUs).
+            unit.clock
+                .advance(&mut unit.mem, &mut unit.dram_tick_accum, 1);
+        }
+    }
+
     /// Advances the run until it finishes (`true`) or the job-relative
     /// cycle count reaches `pause_at` (`false`). Resumable: calling again
     /// continues exactly where the previous call stopped, bit-identically
@@ -590,16 +689,7 @@ impl PimRun {
             match self.phase {
                 PimPhase::Done => return true,
                 PimPhase::LoadStreams => {
-                    if !drive_until(
-                        unit,
-                        &self.reads,
-                        false,
-                        &mut self.it_a,
-                        &mut self.arrivals,
-                        &mut self.next,
-                        self.drive_id_base,
-                        pause_abs,
-                    ) {
+                    if !self.drive(unit, pause_abs) {
                         return false;
                     }
                     self.phase = PimPhase::SortBarrier;
@@ -613,16 +703,7 @@ impl PimRun {
                     self.enter_drive(unit, PimPhase::WriteRuns);
                 }
                 PimPhase::WriteRuns => {
-                    if !drive_until(
-                        unit,
-                        &self.run_blocks,
-                        true,
-                        &mut self.it_a,
-                        &mut self.arrivals,
-                        &mut self.next,
-                        self.drive_id_base,
-                        pause_abs,
-                    ) {
+                    if !self.drive(unit, pause_abs) {
                         return false;
                     }
                     self.it_a.cycles = unit.cycles - self.start_cycle;
@@ -635,16 +716,7 @@ impl PimRun {
                     self.enter_drive(unit, PimPhase::ReadRuns);
                 }
                 PimPhase::ReadRuns => {
-                    if !drive_until(
-                        unit,
-                        &self.read_back,
-                        false,
-                        &mut self.it_b,
-                        &mut self.merge_arrival,
-                        &mut self.next,
-                        self.drive_id_base,
-                        pause_abs,
-                    ) {
+                    if !self.drive(unit, pause_abs) {
                         return false;
                     }
                     unit.trace_merged += self.merged.0.len() as u64;
@@ -659,16 +731,7 @@ impl PimRun {
                     self.enter_drive(unit, PimPhase::WriteOut);
                 }
                 PimPhase::WriteOut => {
-                    if !drive_until(
-                        unit,
-                        &self.out_blocks,
-                        true,
-                        &mut self.it_b,
-                        &mut self.merge_arrival,
-                        &mut self.next,
-                        self.drive_id_base,
-                        pause_abs,
-                    ) {
+                    if !self.drive(unit, pause_abs) {
                         return false;
                     }
                     self.it_b.cycles = unit.cycles - self.phase_b_start;
@@ -771,122 +834,14 @@ impl PimRun {
     }
 }
 
-/// Issues `reqs` through the rank port in order, one per DPU cycle when
-/// the channel accepts, ticking DRAM at the clock ratio, until every
-/// request has been issued and the rank is idle (`true`) or the unit's
-/// cycle count reaches `pause_abs` (`false`). Records each read's
-/// completion cycle in `arrivals[tag]` (last arrival wins — callers key
-/// tags so that the *latest* arrival is what gates compute). With
-/// fast-forwarding on, provably event-free spans are skipped with the
-/// same bound as the PU (capped at the pause target); results are
-/// bit-identical across pause points and execution disciplines.
-#[allow(clippy::too_many_arguments)]
-fn drive_until(
-    unit: &mut PimUnit,
-    reqs: &[(u64, usize)],
-    write: bool,
-    it: &mut IterationStats,
-    arrivals: &mut [u64],
-    next: &mut usize,
-    id_base: u64,
-    pause_abs: Option<u64>,
-) -> bool {
-    let (num, den) = unit.ticks;
-    loop {
-        if *next >= reqs.len() && unit.mem.is_idle() {
-            return true;
-        }
-        if let Some(t) = pause_abs {
-            if unit.cycles >= t {
-                return false;
-            }
-        }
-        if unit.fast_forward {
-            let can_issue = *next < reqs.len() && {
-                let probe_id = unit.next_req_id;
-                let probe = if write {
-                    MemRequest::write(reqs[*next].0, probe_id)
-                } else {
-                    MemRequest::read(reqs[*next].0, probe_id)
-                };
-                unit.mem.can_accept(&probe)
-            };
-            let resp_ready = unit
-                .mem
-                .next_response_at()
-                .is_some_and(|t| t <= unit.mem.now());
-            if !can_issue && !resp_ready {
-                // Longest skip that keeps the DRAM side unobserved (same
-                // bound as the PU's quiescence skip), shortened to land
-                // exactly on the pause target when one is set.
-                let ev = unit
-                    .mem
-                    .next_event_cycle()
-                    .expect("PIM deadlock suspected: quiescent with no pending events");
-                let span = (ev - unit.mem.now()) * den;
-                let mut n = 1 + (span - 1 - unit.dram_tick_accum) / num;
-                if let Some(t) = pause_abs {
-                    n = n.min(t - unit.cycles);
-                }
-                let ticks = unit.dram_tick_accum + n * num;
-                unit.mem.advance(ticks / den);
-                unit.dram_tick_accum = ticks % den;
-                unit.cycles += n;
-                continue;
-            }
-        }
-        unit.cycles += 1;
-        // 1. Responses that completed by now. The id lookup is bounds-
-        //    checked so a corrupt restored queue cannot panic; in-range
-        //    execution behaves identically to direct indexing.
-        while let Some(resp) = unit.mem.pop_response() {
-            if resp.kind == ReqKind::Read {
-                if let Some(&(_, tag)) = reqs.get(resp.id.wrapping_sub(id_base) as usize) {
-                    if let Some(slot) = arrivals.get_mut(tag) {
-                        *slot = unit.cycles;
-                    }
-                }
-            }
-        }
-        // 2. Issue the next request if the channel accepts it.
-        if *next < reqs.len() {
-            let (addr, _) = reqs[*next];
-            let req = if write {
-                MemRequest::write(addr, unit.next_req_id)
-            } else {
-                MemRequest::read(addr, unit.next_req_id)
-            };
-            // Probe before enqueueing so a full queue is not counted as a
-            // rejection (the fast-forward path never attempts one;
-            // statistics must match it bit for bit).
-            if unit.mem.can_accept(&req) && unit.mem.try_enqueue(req) {
-                unit.next_req_id += 1;
-                *next += 1;
-                if write {
-                    it.stores_issued += 1;
-                    unit.trace_stores += 1;
-                } else {
-                    it.loads_issued += 1;
-                    unit.trace_loads += 1;
-                }
-            }
-        }
-        // 3. DRAM clock (bus runs num : den faster than the DPUs).
-        unit.dram_tick_accum += num;
-        while unit.dram_tick_accum >= den {
-            unit.mem.tick();
-            unit.dram_tick_accum -= den;
-        }
-    }
-}
-
-/// Pausable compute-span advance: runs [`PimUnit::advance_to`] up to
-/// `target` or the pause point, whichever comes first. Splitting the span
-/// is bit-identical to one jump because the tick accumulator carries the
-/// division remainder across calls.
+/// Pausable compute-span advance: advances `unit` to DPU cycle `target`
+/// or to the pause point, whichever comes first (a target already passed
+/// counts as reached). Splitting the span is bit-identical to one jump
+/// because the tick accumulator carries the division remainder across
+/// calls.
 fn advance_to_until(unit: &mut PimUnit, target: u64, pause_abs: Option<u64>) -> bool {
     let stop = pause_abs.map_or(target, |t| t.min(target));
-    unit.advance_to(stop);
+    unit.elapse(stop.saturating_sub(unit.cycles));
     stop >= target
 }
 

@@ -22,6 +22,58 @@ const VEC_WAITER: u32 = u32::MAX - 1;
 /// Request-id bit marking concurrent host traffic (§4); responses with
 /// this bit are dropped (the host consumes them, not the PU).
 const HOST_REQ_BIT: u64 = 1 << 63;
+/// Local cycle count past which an iteration is declared deadlocked.
+const MAX_CYCLES: u64 = 20_000_000_000;
+
+/// Clock crossing from an accelerator clock to its rank's DRAM bus, which
+/// runs `num` bus cycles per `den` accelerator cycles. The owner keeps the
+/// tick accumulator (always `< den`, serialized with the unit) that
+/// carries the sub-bus-cycle remainder between calls; cycle `j` after the
+/// current one observes memory time `now + (accum + (j-1)·num) / den`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BusClock {
+    num: u64,
+    den: u64,
+}
+
+impl BusClock {
+    /// The crossing for a `(bus cycles, accelerator cycles)` rate pair.
+    pub(crate) fn new((num, den): (u64, u64)) -> Self {
+        Self { num, den }
+    }
+
+    /// Whole bus cycles and the new accumulator after `cycles`
+    /// accelerator cycles starting from accumulator `accum`.
+    pub(crate) fn ticks(self, accum: u64, cycles: u64) -> (u64, u64) {
+        let t = accum + cycles * self.num;
+        (t / self.den, t % self.den)
+    }
+
+    /// Advances `mem` by `cycles` accelerator cycles. Splitting a span
+    /// into several calls gives the same memory state as one call,
+    /// because `accum` carries the division remainder.
+    #[inline]
+    pub(crate) fn advance(self, mem: &mut MemorySystem, accum: &mut u64, cycles: u64) {
+        let (bus, rest) = self.ticks(*accum, cycles);
+        mem.advance(bus);
+        *accum = rest;
+    }
+
+    /// How many accelerator cycles (counting the next one) observe memory
+    /// time strictly before the bus cycle `bus_cycles > 0` ahead of now.
+    pub(crate) fn cycles_before(self, bus_cycles: u64, accum: u64) -> u64 {
+        1 + (bus_cycles * self.den - 1 - accum) / self.num
+    }
+
+    /// Validates a restored tick accumulator.
+    pub(crate) fn check_accum(self, accum: u64) -> Result<u64, menda_dram::SnapError> {
+        if accum < self.den {
+            Ok(accum)
+        } else {
+            Err(menda_dram::SnapError::BadValue)
+        }
+    }
+}
 
 /// The data backing an iteration's streams, used to decode fetched blocks
 /// into packets (the DRAM simulator provides timing; contents live here).
@@ -150,28 +202,10 @@ pub enum OutputMode {
 /// Emitted output of one iteration: `(minor keys, major keys, values)`.
 pub type EmittedTriples = (Vec<u32>, Vec<u32>, Vec<f32>);
 
-/// Everything `run_rounds` needs for one iteration.
-#[derive(Debug)]
-pub struct IterationSetup<'a> {
-    /// Stream descriptors in assignment order.
-    pub descriptors: Vec<StreamDescriptor>,
-    /// Backing data.
-    pub source: IterSource<'a>,
-    /// Pointer-read gating, if the controller must read pointers first.
-    pub gate: Option<PtrGate>,
-    /// Output mode.
-    pub out: OutputMode,
-    /// Merge packets with equal (major, minor) keys at the root — the
-    /// reduction unit of §3.6. For SpMV the minor key is constant 0, so
-    /// this reduces equal row indices; for the SpGEMM extension it reduces
-    /// equal (row, column) pairs.
-    pub reduce: bool,
-}
-
 /// Borrowed view of one iteration's inputs, shared by every step of
-/// [`ProcessingUnit::iter_loop`]. Unlike [`IterationSetup`] it borrows the
-/// descriptor slice, so the checkpointable job runner can keep descriptors
-/// alive across pause/resume without cloning per call.
+/// [`ProcessingUnit::iter_loop`]. It borrows the descriptor slice, so the
+/// checkpointable job runner can keep descriptors alive across
+/// pause/resume without cloning per call.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IterParams<'a> {
     /// Stream descriptors in assignment order.
@@ -249,8 +283,20 @@ pub(crate) struct IterState {
 }
 
 impl IterState {
-    /// Fresh start-of-iteration state for `pu` under `p`, mirroring what
-    /// the original monolithic loop set up before its first cycle.
+    /// Whether every merge round of the iteration has completed.
+    fn rounds_done(&self) -> bool {
+        self.tree.rounds_completed() as usize >= self.total_rounds
+    }
+
+    /// Advances the local cycle count by `n`. The bound turns a PU that
+    /// stops making progress into a panic rather than an endless loop;
+    /// checkpoint restore catches it to reject forged states.
+    fn elapse(&mut self, n: u64) {
+        self.cycles += n;
+        assert!(self.cycles < MAX_CYCLES, "PU deadlock suspected");
+    }
+
+    /// Fresh start-of-iteration state for `pu` under `p`.
     pub(crate) fn new(pu: &ProcessingUnit, p: &IterParams<'_>) -> Self {
         let pu_cfg = &pu.pu_cfg;
         let l = pu_cfg.leaves;
@@ -555,8 +601,8 @@ impl LeafSource for BufferPorts<'_> {
 
 /// Instrumentation state of one PU (see the `menda-trace` crate): a
 /// cycle-stamped tracer on track 0 plus occupancy histograms and counters
-/// maintained by purely observational hooks in
-/// [`ProcessingUnit::run_rounds`]. Built only when
+/// maintained by purely observational hooks in the step methods of
+/// [`ProcessingUnit::iter_loop`]. Built only when
 /// [`MendaConfig::trace`] enables a sink, so untraced runs pay nothing.
 #[derive(Debug)]
 struct PuTraceState {
@@ -602,6 +648,23 @@ impl PuTraceState {
         })
     }
 
+    /// Records one interval sample of the occupancy histograms and
+    /// counters at local cycle `cycle`.
+    fn sample(&mut self, cycle: u64, st: &IterState) {
+        let now = self.cycle_base + cycle;
+        let fill = st.tree.occupancy() as u64;
+        let held = st.buffers.iter().map(|b| b.held()).sum::<usize>() as u64;
+        let (read_q, write_q) = (st.read_q.len() as u64, st.write_q.len() as u64);
+        self.tree_fill.record(fill);
+        self.read_q_occ.record(read_q);
+        self.write_q_occ.record(write_q);
+        self.prefetch_held.record(held);
+        self.tracer.counter(now, "pu.tree_fill", fill);
+        self.tracer.counter(now, "pu.read_queue", read_q);
+        self.tracer.counter(now, "pu.write_queue", write_q);
+        self.tracer.counter(now, "pu.prefetch_held", held);
+    }
+
     fn into_report(self) -> TraceReport {
         let mut report = TraceReport {
             sink: self.tracer.finish(),
@@ -628,14 +691,15 @@ impl PuTraceState {
 #[derive(Debug)]
 pub struct ProcessingUnit {
     pu_cfg: PuConfig,
-    /// DRAM bus cycles per PU cycle as a (numerator, denominator) ratio.
-    ticks: (u64, u64),
+    /// PU-clock to DRAM-bus-clock crossing.
+    clock: BusClock,
     layout: AddressLayout,
     mem: MemorySystem,
+    /// Sub-bus-cycle remainder of the clock crossing.
     dram_tick_accum: u64,
     next_req_id: u64,
     /// Event-driven fast-forwarding (see [`crate::config::SimOptions`]):
-    /// when set, `run_rounds` jumps over provably no-op cycle spans.
+    /// when set, `iter_loop` jumps over provably no-op cycle spans.
     /// Results are bit-identical either way.
     fast_forward: bool,
     /// Coarse-grained epoch batching on the fast path (see
@@ -668,7 +732,7 @@ impl ProcessingUnit {
             epoch: config.sim.epoch,
             trace: PuTraceState::new(&config.trace, &config.pu),
             pu_cfg: config.pu.clone(),
-            ticks: config.dram_ticks_ratio(),
+            clock: BusClock::new(config.dram_ticks_ratio()),
         }
     }
 
@@ -702,8 +766,8 @@ impl ProcessingUnit {
 
     /// The earliest future bus cycle at which this PU's rank can change
     /// observable state (`None` when the rank is inert) — the same event
-    /// bound the fast-forward quiescence skip inside
-    /// [`ProcessingUnit::run_rounds`] jumps by, exposed for the
+    /// bound the fast-forward quiescence skip of the PU's cycle loop
+    /// jumps by, exposed for the
     /// [`crate::backend::AcceleratorBackend`] seam.
     pub fn next_event_cycle(&self) -> Option<u64> {
         self.mem.next_event_cycle()
@@ -738,7 +802,7 @@ impl ProcessingUnit {
         &mut self,
         dec: &mut menda_dram::Decoder<'_>,
     ) -> Result<(), menda_dram::SnapError> {
-        self.dram_tick_accum = dec.u64()?;
+        self.dram_tick_accum = self.clock.check_accum(dec.u64()?)?;
         self.next_req_id = dec.u64()?;
         self.mem.restore_state(dec)
     }
@@ -751,35 +815,6 @@ impl ProcessingUnit {
     /// ([`crate::job::transpose_job`]) and executes it on this PU.
     pub fn transpose(&mut self, part: &CsrMatrix, row_offset: usize) -> PuResult {
         crate::job::execute(self, crate::job::transpose_job(part.clone(), row_offset))
-    }
-
-    /// Runs all merge rounds of one iteration, cycle by cycle. Returns the
-    /// emitted `(minors, majors, values)`, the run boundaries (prefix
-    /// lengths at each root EOL) and the iteration statistics.
-    ///
-    /// Thin wrapper over [`ProcessingUnit::iter_loop`]: builds a fresh
-    /// [`IterState`], runs it to completion with no pause target, and
-    /// finalizes. The checkpointable job runner drives the same loop with
-    /// a pause cycle instead.
-    pub fn run_rounds(
-        &mut self,
-        setup: IterationSetup<'_>,
-    ) -> (EmittedTriples, Vec<usize>, IterationStats) {
-        let p = IterParams {
-            descriptors: &setup.descriptors,
-            source: setup.source,
-            gate: setup.gate.as_ref(),
-            out: setup.out,
-            reduce: setup.reduce,
-        };
-        let mut st = IterState::new(self, &p);
-        if st.trivially_done {
-            return ((Vec::new(), Vec::new(), Vec::new()), Vec::new(), st.it);
-        }
-        self.begin_iteration_trace();
-        let done = self.iter_loop(&p, &mut st, None);
-        debug_assert!(done, "unbounded iter_loop must run to completion");
-        self.finish_iteration(st)
     }
 
     /// Opens the `pu.iteration` trace span for an iteration about to run
@@ -797,42 +832,24 @@ impl ProcessingUnit {
     /// the top of the loop — the only point at which [`IterState`] is
     /// serialized, so a restored state resumes bit-identically).
     ///
-    /// This is the heart of the simulator: per PU cycle it
-    /// 1. delivers DRAM responses (pointer blocks to the controller FSM,
-    ///    data blocks to every coalesced waiter),
-    /// 2. issues one read and one write from the PU queues to the rank,
-    /// 3. lets the controller issue pointer reads and release stream
-    ///    descriptors to the prefetch buffers,
-    /// 4. lets active prefetch buffers plan and enqueue block loads
-    ///    (coalescing duplicates, §3.4),
-    /// 5. ticks the merge tree one cycle and handles the root pop
-    ///    (output-buffer accounting, store requests, pointer-write pacing,
-    ///    optional SpMV reduction),
-    /// 6. advances the rank's DRAM clock by 1.5 bus cycles.
+    /// This is the scheduler over one set of per-cycle step methods
+    /// ([`ProcessingUnit::step`]). The per-cycle reference
+    /// (`SimOptions::fast_forward = false`) runs one full step per cycle.
+    /// The event scheduler first tries to jump a quiescent span, then to
+    /// drain an epoch in which only the issue slots and the merge tree can
+    /// act, and steps one cycle otherwise. The differential suites prove
+    /// both schedulers bit-identical.
     pub(crate) fn iter_loop(
         &mut self,
         p: &IterParams<'_>,
         st: &mut IterState,
         pause_at: Option<u64>,
     ) -> bool {
-        let pu_cfg = self.pu_cfg.clone();
-        let l = pu_cfg.leaves;
-        let layout = self.layout;
-        let count_feed = self.trace.is_some();
-        let n_streams = st.n_streams;
-        let total_rounds = st.total_rounds;
-        let padded = st.padded;
-        let elem_bytes = st.elem_bytes;
-        let pw = st.pw;
-        let need_cap = st.need_cap;
-        let (dram_num, dram_den) = self.ticks;
-        let max_cycles: u64 = 20_000_000_000;
-
         loop {
             // Termination: all rounds merged and all output flushed. This
             // check runs before the pause check so a pause target at or
             // past completion still reports "done".
-            if st.tree.rounds_completed() as usize >= total_rounds
+            if st.rounds_done()
                 && st.bytes_accum == 0
                 && st.pending_ptr_blocks == 0
                 && st.write_q.is_empty()
@@ -840,561 +857,383 @@ impl ProcessingUnit {
             {
                 return true;
             }
-            if let Some(target) = pause_at {
-                if st.cycles >= target {
-                    return false;
-                }
+            // Cycles left before the pause target (unbounded without one).
+            let budget = match pause_at {
+                Some(target) if st.cycles >= target => return false,
+                Some(target) => target - st.cycles,
+                None => u64::MAX,
+            };
+            if self.fast_forward
+                && (self.try_quiescent_skip(p, st, budget)
+                    || (self.epoch && self.try_epoch(p, st, budget)))
+            {
+                continue;
             }
-            // Fast-forward: when every pipeline stage is provably unable
-            // to act (the PU is *quiescent*), jump over the longest span
-            // of cycles in which that stays true — bounded by the next
-            // DRAM-side event the PU could observe and by the next host
-            // injection cycle — bulk-accounting the stall statistics and
-            // trace samples the per-cycle path would have produced. The
-            // skipped cycles are bit-identical no-ops: every quiescence
-            // input (queues, buffers, tree, controller state) is frozen
-            // until one of those two bounds, so re-running them one by one
-            // would change nothing. `SimOptions::fast_forward = false`
-            // keeps the per-cycle reference path; the differential suite
-            // proves both produce identical results.
-            let rounds_done = st.tree.rounds_completed() as usize >= total_rounds;
-            if self.fast_forward {
-                let root_space = usize::from(
-                    st.bytes_accum + elem_bytes <= pu_cfg.output_buffer_bytes as u64
-                        && st.pending_ptr_blocks < 16
-                        && st.write_q.len() < pu_cfg.write_queue_entries,
-                );
-                let wq_full = st.write_q.len() >= pu_cfg.write_queue_entries;
-                // Short-circuit order: O(1) checks that are false on most
-                // busy cycles come first, so the per-cycle overhead of the
-                // probe is a couple of branches; the queue scans at the end
-                // only run on cycles that are already nearly quiescent.
-                let quiescent = st.buf_active.is_empty()
-                    // Tree has no scheduled PE and the root cannot merge.
-                    && st.tree.is_quiescent(&PeekPorts(&st.buffers), root_space)
-                    // Step 1 would deliver nothing: no response is ready.
-                    && self
-                        .mem
-                        .next_response_at()
-                        .is_none_or(|t| t > self.mem.now())
-                    // Step 5's post-tree drains would push nothing.
-                    && (st.pending_ptr_blocks == 0 || wq_full)
-                    // The final flush would push nothing.
-                    && (!rounds_done
-                        || ((st.bytes_accum == 0 || wq_full)
-                            && !(st.pending_ptr_blocks == 0
-                                && matches!(p.out, OutputMode::FinalCsc { ncols }
-                                    if st.ptr_cursor < (ncols + 1).div_ceil(8)))))
-                    // Step 3 would neither issue pointer reads nor release
-                    // descriptors.
-                    && p.gate.is_none_or(|g| {
-                        !(st.ptr_outstanding < pu_cfg.pointer_read_depth
-                            && st.ptr_next_issue < g.blocks.len()
-                            && !st.read_q.is_full())
-                    })
-                    && (st.next_release >= padded
-                        || (st.next_release < n_streams
-                            && p.gate.is_some_and(
-                                |g| g.release_after[st.next_release] > st.ptr_blocks_arrived,
-                            )))
-                    // Step 2 would issue nothing: both issue slots blocked.
-                    && st
-                        .read_q
-                        .next_to_issue()
-                        .is_none_or(|b| !self.mem.can_accept(&MemRequest::read(b, 0)))
-                    && st
-                        .write_q
-                        .front()
-                        .is_none_or(|&b| !self.mem.can_accept(&MemRequest::write(b, 0)));
-                if quiescent {
-                    // Longest skip that keeps the DRAM side unobserved:
-                    // PU cycle `cycles + j` sees memory time
-                    // `M + (accum + (j-1)*num) / den`, which must stay
-                    // below the next memory event.
-                    let n_mem = match self.mem.next_event_cycle() {
-                        Some(ev) => {
-                            let span = (ev - self.mem.now()) * dram_den;
-                            1 + (span - 1 - self.dram_tick_accum) / dram_num
-                        }
-                        None => u64::MAX,
-                    };
-                    // Host injections run on exact PU cycles: never skip
-                    // one.
-                    let host_cap = match pu_cfg.host_read_interval {
-                        Some(interval) if !rounds_done => {
-                            (st.cycles / interval + 1) * interval - st.cycles - 1
-                        }
-                        _ => u64::MAX,
-                    };
-                    assert!(
-                        n_mem != u64::MAX || host_cap != u64::MAX,
-                        "PU deadlock suspected: quiescent with no pending events"
-                    );
-                    let mut n = n_mem.min(host_cap);
-                    // A pause target caps the skip too, so the loop pauses
-                    // exactly at the requested cycle: the split bulk
-                    // advance stays bit-identical because the tick
-                    // accumulator arithmetic below is associative over `n`.
-                    if let Some(target) = pause_at {
-                        n = n.min(target - st.cycles);
-                    }
-                    if n > 0 {
-                        if root_space == 0 {
-                            st.it.output_stall_cycles += n;
-                        } else if !rounds_done {
-                            st.it.root_stall_cycles += n;
-                        }
-                        if let Some(ts) = self.trace.as_mut() {
-                            // checked_div: sampling is off when the
-                            // interval is 0.
-                            if let Some(q) = st.cycles.checked_div(ts.interval) {
-                                // No leaf pops occur in the window, so
-                                // fed/starved stay put; emit the interval
-                                // samples with the frozen occupancies.
-                                let fill = st.tree.occupancy() as u64;
-                                let held: usize = st.buffers.iter().map(|b| b.held()).sum();
-                                let mut c = (q + 1) * ts.interval;
-                                while c <= st.cycles + n {
-                                    let now = ts.cycle_base + c;
-                                    ts.tree_fill.record(fill);
-                                    ts.read_q_occ.record(st.read_q.len() as u64);
-                                    ts.write_q_occ.record(st.write_q.len() as u64);
-                                    ts.prefetch_held.record(held as u64);
-                                    ts.tracer.counter(now, "pu.tree_fill", fill);
-                                    ts.tracer
-                                        .counter(now, "pu.read_queue", st.read_q.len() as u64);
-                                    ts.tracer.counter(
-                                        now,
-                                        "pu.write_queue",
-                                        st.write_q.len() as u64,
-                                    );
-                                    ts.tracer.counter(now, "pu.prefetch_held", held as u64);
-                                    c += ts.interval;
-                                }
-                            }
-                        }
-                        // Replicate `n` iterations of step 6 in bulk.
-                        let ticks = self.dram_tick_accum + n * dram_num;
-                        self.mem.advance(ticks / dram_den);
-                        self.dram_tick_accum = ticks % dram_den;
-                        st.cycles += n;
-                        assert!(st.cycles < max_cycles, "PU deadlock suspected");
-                        continue;
-                    }
-                }
-                // Epoch calculus (see DESIGN.md): the PU is *not*
-                // quiescent — the tree has work — but the controller FSM
-                // and every prefetch buffer are provably frozen: no
-                // buffer is scheduled to plan, the pointer-issue gate and
-                // descriptor release are blocked on state only a read
-                // response can change, and the earliest possible read
-                // response is a known bus cycle away. Until then the
-                // per-cycle loop degenerates to steps 2, 5, and 6; run
-                // exactly those in a fused drain for the bounded span,
-                // deferring DRAM ticks into a lazy accumulator. The
-                // fingerprint suites prove the drain bit-identical to
-                // per-cycle stepping (`SimOptions::epoch = false`).
-                if self.epoch
-                    && !rounds_done
-                    && st.buf_active.is_empty()
-                    && p.gate.is_none_or(|g| {
-                        !(st.ptr_outstanding < pu_cfg.pointer_read_depth
-                            && st.ptr_next_issue < g.blocks.len()
-                            && !st.read_q.is_full())
-                    })
-                    && (st.next_release >= padded
-                        || (st.next_release < n_streams
-                            && p.gate.is_some_and(|g| {
-                                g.release_after[st.next_release] > st.ptr_blocks_arrived
-                            })))
-                {
-                    let now0 = self.mem.now();
-                    let mut remaining = match self.mem.earliest_read_response_at(HOST_REQ_BIT) {
-                        Some(r) if r <= now0 => 0,
-                        Some(r) => {
-                            // PU cycle `cycles + j` observes memory time
-                            // `now0 + (accum + (j-1)*num) / den`; keep it
-                            // below the response bound for every epoch
-                            // cycle.
-                            let span = (r - now0) * dram_den;
-                            1 + (span - 1 - self.dram_tick_accum) / dram_num
-                        }
-                        None => u64::MAX,
-                    };
-                    if let Some(target) = pause_at {
-                        remaining = remaining.min(target - st.cycles);
-                    }
-                    if remaining > 0 {
-                        // Step-4 invariant: the previous cycle's walk
-                        // un-parked every buffer the (frozen) queue
-                        // headroom could satisfy, so skipping the walk
-                        // during the epoch is a no-op.
-                        #[cfg(debug_assertions)]
-                        if st.parked_count > 0 {
-                            let avail = pu_cfg.read_queue_entries - st.read_q.len();
-                            for nb in PrefetchBuffer::MIN_FETCH_SLOTS..=avail.min(need_cap) {
-                                for w in 0..pw {
-                                    debug_assert_eq!(
-                                        st.parked_buckets[nb * pw + w],
-                                        0,
-                                        "parked buffer fireable at epoch entry"
-                                    );
-                                }
-                            }
-                        }
-                        self.epoch_drain(
-                            p,
-                            st,
-                            total_rounds,
-                            elem_bytes,
-                            count_feed,
-                            now0,
-                            remaining,
-                            max_cycles,
-                        );
-                        continue;
-                    }
-                }
-            }
-            st.cycles += 1;
-            assert!(st.cycles < max_cycles, "PU deadlock suspected");
-
-            // 1. DRAM responses.
-            while let Some(resp) = self.mem.pop_response() {
-                if resp.kind == ReqKind::Write || resp.id & HOST_REQ_BIT != 0 {
-                    continue;
-                }
-                let block = resp.addr;
-                st.waiter_scratch.clear();
-                st.read_q.complete_into(block, &mut st.waiter_scratch);
-                if let Some(ts) = self.trace.as_mut() {
-                    // One completed block feeds `waiters.len()` requests —
-                    // the merge width achieved by request coalescing.
-                    ts.coalesce_width.record(st.waiter_scratch.len() as u64);
-                }
-                let mut waiters = std::mem::take(&mut st.waiter_scratch);
-                for &w in &waiters {
-                    match w {
-                        PTR_WAITER => {
-                            if let Some(g) = p.gate {
-                                // Which gate block is this?
-                                let rel =
-                                    (block - AddressLayout::block_of(g.ptr_base)) / BLOCK_BYTES;
-                                if let Ok(pos) = g.blocks.binary_search(&rel) {
-                                    st.ptr_arrived_set[pos] = true;
-                                    while st.ptr_blocks_arrived < st.ptr_arrived_set.len()
-                                        && st.ptr_arrived_set[st.ptr_blocks_arrived]
-                                    {
-                                        st.ptr_blocks_arrived += 1;
-                                    }
-                                    st.ptr_outstanding = st.ptr_outstanding.saturating_sub(1);
-                                }
-                            }
-                        }
-                        VEC_WAITER => {}
-                        buf_id => {
-                            let b = buf_id as usize;
-                            if let Some((desc, range, ended)) = st.buffers[b].block_arrived(block) {
-                                p.source
-                                    .materialize_into(&desc, range, &mut st.packet_scratch);
-                                st.buffers[b].deliver(&mut st.packet_scratch, ended);
-                                st.tree.wake_port(b);
-                                st.buf_active.insert(b);
-                            } else if !self.fast_forward {
-                                // Chunk still awaiting other blocks: its
-                                // plan call is a guaranteed no-op, so the
-                                // fast path defers re-activation to the
-                                // completing block. The reference path
-                                // keeps its retry-every-cycle shape.
-                                st.buf_active.insert(b);
-                            }
-                        }
-                    }
-                }
-                waiters.clear();
-                st.waiter_scratch = waiters;
-            }
-
-            // 2. Memory interface: one read and one write per cycle.
-            if let Some(block) = st.read_q.next_to_issue() {
-                let req = MemRequest::read(block, self.next_req_id);
-                if self.mem.can_accept(&req) && self.mem.try_enqueue(req) {
-                    self.next_req_id += 1;
-                    st.read_q.mark_issued(block);
-                    st.it.loads_issued += 1;
-                }
-            }
-            // 2b. Concurrent host access (§4): inject a host read into the
-            // shared rank at the configured rate, after the PU's own issue
-            // so the host cannot monopolize queue slots and livelock the
-            // PU (the host-side controller of [11] arbitrates similarly).
-            if let Some(interval) = pu_cfg.host_read_interval {
-                // Only while the PU is actually working — otherwise the
-                // endless host stream would keep the memory system busy
-                // and the iteration could never drain to completion.
-                if st.cycles.is_multiple_of(interval)
-                    && (st.tree.rounds_completed() as usize) < total_rounds
-                {
-                    let addr =
-                        0xC000_0000u64 + (st.cycles / interval).wrapping_mul(0x9E37) % (64 << 20);
-                    let req = MemRequest::read(addr & !63, HOST_REQ_BIT | st.cycles);
-                    if self.mem.can_accept(&req) {
-                        let _ = self.mem.try_enqueue(req);
-                    }
-                }
-            }
-            if let Some(&block) = st.write_q.front() {
-                let req = MemRequest::write(block, self.next_req_id);
-                if self.mem.can_accept(&req) && self.mem.try_enqueue(req) {
-                    self.next_req_id += 1;
-                    st.write_q.pop_front();
-                    st.it.stores_issued += 1;
-                }
-            }
-
-            // 3. Controller FSM: pointer reads + descriptor release.
-            if let Some(g) = p.gate {
-                while st.ptr_outstanding < pu_cfg.pointer_read_depth
-                    && st.ptr_next_issue < g.blocks.len()
-                    && !st.read_q.is_full()
-                {
-                    let block = AddressLayout::block_of(g.ptr_base)
-                        + g.blocks[st.ptr_next_issue] * BLOCK_BYTES;
-                    match st.read_q.enqueue(block, PTR_WAITER) {
-                        EnqueueOutcome::Full => break,
-                        _ => {
-                            // SpMV: fetch the matching vector block too.
-                            if let Some(vb) = g.vector_base {
-                                let vblock = AddressLayout::block_of(
-                                    vb + g.blocks[st.ptr_next_issue] * BLOCK_BYTES,
-                                );
-                                let _ = st.read_q.enqueue(vblock, VEC_WAITER);
-                            }
-                            st.ptr_next_issue += 1;
-                            st.ptr_outstanding += 1;
-                        }
-                    }
-                }
-            }
-            while st.next_release < padded {
-                if st.next_release < n_streams {
-                    if let Some(g) = p.gate {
-                        if g.release_after[st.next_release] > st.ptr_blocks_arrived {
-                            break;
-                        }
-                    }
-                    let desc = p.descriptors[st.next_release];
-                    let b = st.next_release % l;
-                    st.buffers[b].assign_streams([desc]);
-                    st.buf_active.insert(b);
-                    st.tree.wake_port(b);
-                } else {
-                    let b = st.next_release % l;
-                    st.buffers[b].assign_streams([StreamDescriptor::empty()]);
-                    st.buf_active.insert(b);
-                    st.tree.wake_port(b);
-                }
-                st.next_release += 1;
-            }
-
-            // 4. Prefetch buffers plan fetches, in ascending buffer order.
-            // The worklist swaps with a retained-capacity scratch Vec so
-            // re-activations pushed below land in a buffer that never
-            // reallocates in steady state. On the fast path the worklist
-            // merges with the parked buffers whose refused plan size the
-            // *live* queue length could now satisfy: the walk unions only
-            // the reachable need-buckets, and both sources are consumed in
-            // ascending id order, so the attempts happen exactly where the
-            // reference path's retry-every-cycle loop would have made them
-            // succeed (every attempt it skips is a provable no-op).
-            let mut work = std::mem::take(&mut st.buf_scratch);
-            st.buf_active.drain_into(&mut work);
-            let mut wi = 0usize;
-            let mut scan_from = 0usize;
-            loop {
-                let avail = pu_cfg.read_queue_entries - st.read_q.len();
-                let next_active = work.get(wi).map(|&x| x as usize);
-                let next_parked = if self.fast_forward
-                    && st.parked_count > 0
-                    && avail >= PrefetchBuffer::MIN_FETCH_SLOTS
-                {
-                    if avail != st.union_avail {
-                        st.union_avail = avail;
-                        let hi = avail.min(need_cap);
-                        let buckets = &st.parked_buckets;
-                        for (w, u) in st.parked_union.iter_mut().enumerate() {
-                            *u = (PrefetchBuffer::MIN_FETCH_SLOTS..=hi)
-                                .map(|n| buckets[n * pw + w])
-                                .fold(0, |a, x| a | x);
-                        }
-                    }
-                    next_set_bit(&st.parked_union, scan_from)
-                } else {
-                    None
-                };
-                let b = match (next_active, next_parked) {
-                    (None, None) => break,
-                    (Some(a), None) => {
-                        wi += 1;
-                        a
-                    }
-                    (None, Some(q)) => {
-                        scan_from = q + 1;
-                        q
-                    }
-                    (Some(a), Some(q)) => {
-                        if a <= q {
-                            wi += 1;
-                            if a == q {
-                                scan_from = q + 1;
-                            }
-                            a
-                        } else {
-                            scan_from = q + 1;
-                            q
-                        }
-                    }
-                };
-                // A parked candidate only surfaces once its plan could fit,
-                // so it re-plans for real below; clear its bucket bit.
-                if st.parked_need[b] != 0
-                    && (Some(b) == next_parked || avail >= st.parked_need[b] as usize)
-                {
-                    let nbkt = st.parked_need[b] as usize;
-                    st.parked_buckets[nbkt * pw + (b >> 7)] &= !(1u128 << (b & 127));
-                    st.parked_need[b] = 0;
-                    st.parked_count -= 1;
-                    st.union_avail = usize::MAX;
-                }
-                // Conservative slot budget so the whole chunk enqueues
-                // atomically (coalesced blocks would not even need slots,
-                // but partial enqueue must never happen).
-                // A plan refused for queue pressure can only grow while the
-                // buffer's stream stands still (pops free space, nothing
-                // else changes), so the size from its last refusal is a
-                // valid lower bound until the next real plan call.
-                let need = (st.parked_need[b] as usize).max(PrefetchBuffer::MIN_FETCH_SLOTS);
-                if self.fast_forward
-                    && avail < need
-                    && (st.parked_need[b] != 0 || st.buffers[b].plan_is_noop_without_slots())
-                {
-                    // The queue cannot fit this buffer's plan and the
-                    // attempt could not change simulated state (it is not
-                    // at a stream boundary, so no EOL emission is due).
-                    // Park, keeping the tightest threshold known. Buffers
-                    // with a chunk in flight are re-activated by the
-                    // completing response instead.
-                    if st.parked_need[b] == 0 && !st.buffers[b].has_pending() {
-                        st.parked_buckets[need * pw + (b >> 7)] |= 1u128 << (b & 127);
-                        st.parked_need[b] = need as u32;
-                        st.parked_count += 1;
-                        st.union_avail = usize::MAX;
-                    }
-                    continue;
-                }
-                let had_head = st.buffers[b].peek().is_some();
-                match st.buffers[b].plan_fetch(avail) {
-                    FetchPlan::Planned { .. } => {
-                        for &blk in st.buffers[b].pending_blocks() {
-                            match st.read_q.enqueue(blk, b as u32) {
-                                EnqueueOutcome::Full => {
-                                    unreachable!("slot pre-check guarantees space")
-                                }
-                                EnqueueOutcome::Coalesced => st.it.loads_coalesced += 1,
-                                EnqueueOutcome::Queued => {}
-                            }
-                        }
-                    }
-                    FetchPlan::Blocked { blocks } if self.fast_forward => {
-                        // Queue pressure: park until the queue could fit a
-                        // plan of this size. The plan can only grow while
-                        // parked (pops free space, nothing else changes),
-                        // so earlier attempts would re-plan and discard —
-                        // provably the same simulated behavior as the
-                        // reference path's retry-every-cycle below.
-                        let nbkt = blocks.clamp(PrefetchBuffer::MIN_FETCH_SLOTS, need_cap);
-                        st.parked_buckets[nbkt * pw + (b >> 7)] |= 1u128 << (b & 127);
-                        st.parked_need[b] = nbkt as u32;
-                        st.parked_count += 1;
-                        st.union_avail = usize::MAX;
-                    }
-                    FetchPlan::Blocked { .. } => {
-                        // Queue pressure: retry next cycle.
-                        st.buf_active.insert(b);
-                    }
-                    FetchPlan::None => {}
-                }
-                if !had_head && st.buffers[b].peek().is_some() {
-                    st.tree.wake_port(b);
-                }
-            }
-            work.clear();
-            st.buf_scratch = work;
-
-            // 5. Merge tree (shared verbatim with the epoch drain).
-            Self::tree_cycle(
-                &mut self.trace,
-                self.fast_forward,
-                count_feed,
-                &pu_cfg,
-                &layout,
-                p,
-                st,
-                total_rounds,
-                elem_bytes,
-            );
-
-            // 6. DRAM clock (bus runs dram_num : dram_den faster).
-            // Routed through `advance` rather than raw ticks: it is
-            // tick-exact by contract, and the channel-side event cache
-            // turns the bus cycles where the controller provably cannot
-            // act (most of them, even under load — commands issue every
-            // few cycles at best) into O(1) skips.
-            self.dram_tick_accum += dram_num;
-            if self.dram_tick_accum >= dram_den {
-                self.mem.advance(self.dram_tick_accum / dram_den);
-                self.dram_tick_accum %= dram_den;
-            }
+            self.step(p, st);
         }
     }
 
-    /// Step 5 of one PU cycle: computes the root back-pressure, ticks
-    /// the merge tree against the prefetch-buffer ports, re-activates
-    /// awoken buffers, samples the instrumentation, handles the root
-    /// pop, and runs the pointer-store drain and final flush. Shared
-    /// *verbatim* by the per-cycle loop and the epoch drain so the two
-    /// execution disciplines cannot diverge (their bit-identity is
-    /// enforced by the absolute cycle fingerprints).
+    /// One full PU cycle, the pipeline of §3.2–3.4 in order: deliver DRAM
+    /// responses, issue to the rank, run the controller FSM, plan prefetch
+    /// fetches, tick the merge tree, and advance the rank's DRAM clock.
+    #[inline]
+    fn step(&mut self, p: &IterParams<'_>, st: &mut IterState) {
+        st.elapse(1);
+        self.deliver_responses(p, st);
+        self.issue(st);
+        self.controller(p, st);
+        self.plan_fetches(st);
+        self.tree_cycle(p, st);
+        // Step 6, the DRAM clock. Routed through `advance` rather than raw
+        // ticks: it is tick-exact by contract, and the channel-side event
+        // cache turns the bus cycles where the controller provably cannot
+        // act (most of them, even under load — commands issue every few
+        // cycles at best) into O(1) skips.
+        self.clock
+            .advance(&mut self.mem, &mut self.dram_tick_accum, 1);
+    }
+
+    /// Step 1: delivers matured DRAM responses — pointer blocks to the
+    /// controller FSM, data blocks to every coalesced waiter. Write
+    /// acknowledgments and concurrent-host data are dropped.
+    #[inline]
+    fn deliver_responses(&mut self, p: &IterParams<'_>, st: &mut IterState) {
+        while let Some(resp) = self.mem.pop_response() {
+            if resp.kind == ReqKind::Write || resp.id & HOST_REQ_BIT != 0 {
+                continue;
+            }
+            let block = resp.addr;
+            st.waiter_scratch.clear();
+            st.read_q.complete_into(block, &mut st.waiter_scratch);
+            if let Some(ts) = self.trace.as_mut() {
+                // One completed block feeds `waiters.len()` requests —
+                // the merge width achieved by request coalescing.
+                ts.coalesce_width.record(st.waiter_scratch.len() as u64);
+            }
+            let mut waiters = std::mem::take(&mut st.waiter_scratch);
+            for &w in &waiters {
+                match w {
+                    PTR_WAITER => {
+                        if let Some(g) = p.gate {
+                            // Which gate block is this?
+                            let rel = (block - AddressLayout::block_of(g.ptr_base)) / BLOCK_BYTES;
+                            if let Ok(pos) = g.blocks.binary_search(&rel) {
+                                st.ptr_arrived_set[pos] = true;
+                                while st.ptr_blocks_arrived < st.ptr_arrived_set.len()
+                                    && st.ptr_arrived_set[st.ptr_blocks_arrived]
+                                {
+                                    st.ptr_blocks_arrived += 1;
+                                }
+                                st.ptr_outstanding = st.ptr_outstanding.saturating_sub(1);
+                            }
+                        }
+                    }
+                    VEC_WAITER => {}
+                    buf_id => {
+                        let b = buf_id as usize;
+                        if let Some((desc, range, ended)) = st.buffers[b].block_arrived(block) {
+                            p.source
+                                .materialize_into(&desc, range, &mut st.packet_scratch);
+                            st.buffers[b].deliver(&mut st.packet_scratch, ended);
+                            st.tree.wake_port(b);
+                            st.buf_active.insert(b);
+                        } else if !self.fast_forward {
+                            // Chunk still awaiting other blocks: its plan
+                            // call is a guaranteed no-op, so the fast path
+                            // defers re-activation to the completing
+                            // block. The reference path keeps its
+                            // retry-every-cycle shape.
+                            st.buf_active.insert(b);
+                        }
+                    }
+                }
+            }
+            waiters.clear();
+            st.waiter_scratch = waiters;
+        }
+    }
+
+    /// Step 2, the memory interface: issues one read and one write from
+    /// the PU queues to the rank. Between them, step 2b injects the
+    /// concurrent host read (§4) when one is due — after the PU's own
+    /// issue so the host cannot monopolize queue slots and livelock the
+    /// PU (the host-side controller of [11] arbitrates similarly).
+    /// Returns whether the PU's read issued.
+    #[inline]
+    fn issue(&mut self, st: &mut IterState) -> bool {
+        let mut read_issued = false;
+        if let Some(block) = st.read_q.next_to_issue() {
+            let req = MemRequest::read(block, self.next_req_id);
+            if self.mem.can_accept(&req) && self.mem.try_enqueue(req) {
+                self.next_req_id += 1;
+                st.read_q.mark_issued(block);
+                st.it.loads_issued += 1;
+                read_issued = true;
+            }
+        }
+        if let Some(req) = self.host_read(st) {
+            if self.mem.can_accept(&req) {
+                let _ = self.mem.try_enqueue(req);
+            }
+        }
+        if let Some(&block) = st.write_q.front() {
+            let req = MemRequest::write(block, self.next_req_id);
+            if self.mem.can_accept(&req) && self.mem.try_enqueue(req) {
+                self.next_req_id += 1;
+                st.write_q.pop_front();
+                st.it.stores_issued += 1;
+            }
+        }
+        read_issued
+    }
+
+    /// The host read step 2b injects this cycle, if one is due. Only while
+    /// the PU is actually merging — otherwise the endless host stream
+    /// would keep the memory system busy and the iteration could never
+    /// drain to completion.
+    fn host_read(&self, st: &IterState) -> Option<MemRequest> {
+        let interval = self.pu_cfg.host_read_interval?;
+        if !st.cycles.is_multiple_of(interval) || st.rounds_done() {
+            return None;
+        }
+        let addr = 0xC000_0000u64 + (st.cycles / interval).wrapping_mul(0x9E37) % (64 << 20);
+        Some(MemRequest::read(addr & !63, HOST_REQ_BIT | st.cycles))
+    }
+
+    /// Step 3, the controller FSM: issues pointer reads and releases
+    /// stream descriptors to the prefetch buffers.
+    #[inline]
+    fn controller(&self, p: &IterParams<'_>, st: &mut IterState) {
+        let l = self.pu_cfg.leaves;
+        if let Some(g) = p.gate {
+            while st.ptr_outstanding < self.pu_cfg.pointer_read_depth
+                && st.ptr_next_issue < g.blocks.len()
+                && !st.read_q.is_full()
+            {
+                let block =
+                    AddressLayout::block_of(g.ptr_base) + g.blocks[st.ptr_next_issue] * BLOCK_BYTES;
+                match st.read_q.enqueue(block, PTR_WAITER) {
+                    EnqueueOutcome::Full => break,
+                    _ => {
+                        // SpMV: fetch the matching vector block too.
+                        if let Some(vb) = g.vector_base {
+                            let vblock = AddressLayout::block_of(
+                                vb + g.blocks[st.ptr_next_issue] * BLOCK_BYTES,
+                            );
+                            let _ = st.read_q.enqueue(vblock, VEC_WAITER);
+                        }
+                        st.ptr_next_issue += 1;
+                        st.ptr_outstanding += 1;
+                    }
+                }
+            }
+        }
+        while st.next_release < st.padded {
+            if st.next_release < st.n_streams {
+                if let Some(g) = p.gate {
+                    if g.release_after[st.next_release] > st.ptr_blocks_arrived {
+                        break;
+                    }
+                }
+                let desc = p.descriptors[st.next_release];
+                let b = st.next_release % l;
+                st.buffers[b].assign_streams([desc]);
+                st.buf_active.insert(b);
+                st.tree.wake_port(b);
+            } else {
+                let b = st.next_release % l;
+                st.buffers[b].assign_streams([StreamDescriptor::empty()]);
+                st.buf_active.insert(b);
+                st.tree.wake_port(b);
+            }
+            st.next_release += 1;
+        }
+    }
+
+    /// Whether step 3 would neither issue a pointer read nor release a
+    /// descriptor this cycle.
+    fn controller_frozen(&self, p: &IterParams<'_>, st: &IterState) -> bool {
+        p.gate.is_none_or(|g| {
+            !(st.ptr_outstanding < self.pu_cfg.pointer_read_depth
+                && st.ptr_next_issue < g.blocks.len()
+                && !st.read_q.is_full())
+        }) && (st.next_release >= st.padded
+            || (st.next_release < st.n_streams
+                && p.gate
+                    .is_some_and(|g| g.release_after[st.next_release] > st.ptr_blocks_arrived)))
+    }
+
+    /// Step 4: active prefetch buffers plan and enqueue block loads
+    /// (coalescing duplicates, §3.4), in ascending buffer order.
+    ///
+    /// The worklist swaps with a retained-capacity scratch Vec so
+    /// re-activations pushed below land in a buffer that never reallocates
+    /// in steady state. On the fast path the worklist merges with the
+    /// parked buffers whose refused plan size the *live* queue length
+    /// could now satisfy: the walk unions only the reachable need-buckets,
+    /// and both sources are consumed in ascending id order, so the
+    /// attempts happen exactly where the reference path's
+    /// retry-every-cycle loop would have made them succeed (every attempt
+    /// it skips is a provable no-op).
+    #[inline]
+    fn plan_fetches(&self, st: &mut IterState) {
+        let (pw, need_cap) = (st.pw, st.need_cap);
+        let mut work = std::mem::take(&mut st.buf_scratch);
+        st.buf_active.drain_into(&mut work);
+        let mut wi = 0usize;
+        let mut scan_from = 0usize;
+        loop {
+            let avail = self.pu_cfg.read_queue_entries - st.read_q.len();
+            let next_active = work.get(wi).map(|&x| x as usize);
+            let next_parked = if self.fast_forward
+                && st.parked_count > 0
+                && avail >= PrefetchBuffer::MIN_FETCH_SLOTS
+            {
+                if avail != st.union_avail {
+                    st.union_avail = avail;
+                    let hi = avail.min(need_cap);
+                    let buckets = &st.parked_buckets;
+                    for (w, u) in st.parked_union.iter_mut().enumerate() {
+                        *u = (PrefetchBuffer::MIN_FETCH_SLOTS..=hi)
+                            .map(|n| buckets[n * pw + w])
+                            .fold(0, |a, x| a | x);
+                    }
+                }
+                next_set_bit(&st.parked_union, scan_from)
+            } else {
+                None
+            };
+            let b = match (next_active, next_parked) {
+                (None, None) => break,
+                (Some(a), None) => {
+                    wi += 1;
+                    a
+                }
+                (None, Some(q)) => {
+                    scan_from = q + 1;
+                    q
+                }
+                (Some(a), Some(q)) => {
+                    if a <= q {
+                        wi += 1;
+                        if a == q {
+                            scan_from = q + 1;
+                        }
+                        a
+                    } else {
+                        scan_from = q + 1;
+                        q
+                    }
+                }
+            };
+            // A parked candidate only surfaces once its plan could fit,
+            // so it re-plans for real below; clear its bucket bit.
+            if st.parked_need[b] != 0
+                && (Some(b) == next_parked || avail >= st.parked_need[b] as usize)
+            {
+                let nbkt = st.parked_need[b] as usize;
+                st.parked_buckets[nbkt * pw + (b >> 7)] &= !(1u128 << (b & 127));
+                st.parked_need[b] = 0;
+                st.parked_count -= 1;
+                st.union_avail = usize::MAX;
+            }
+            // Conservative slot budget so the whole chunk enqueues
+            // atomically (coalesced blocks would not even need slots,
+            // but partial enqueue must never happen).
+            // A plan refused for queue pressure can only grow while the
+            // buffer's stream stands still (pops free space, nothing
+            // else changes), so the size from its last refusal is a
+            // valid lower bound until the next real plan call.
+            let need = (st.parked_need[b] as usize).max(PrefetchBuffer::MIN_FETCH_SLOTS);
+            if self.fast_forward
+                && avail < need
+                && (st.parked_need[b] != 0 || st.buffers[b].plan_is_noop_without_slots())
+            {
+                // The queue cannot fit this buffer's plan and the
+                // attempt could not change simulated state (it is not
+                // at a stream boundary, so no EOL emission is due).
+                // Park, keeping the tightest threshold known. Buffers
+                // with a chunk in flight are re-activated by the
+                // completing response instead.
+                if st.parked_need[b] == 0 && !st.buffers[b].has_pending() {
+                    st.parked_buckets[need * pw + (b >> 7)] |= 1u128 << (b & 127);
+                    st.parked_need[b] = need as u32;
+                    st.parked_count += 1;
+                    st.union_avail = usize::MAX;
+                }
+                continue;
+            }
+            let had_head = st.buffers[b].peek().is_some();
+            match st.buffers[b].plan_fetch(avail) {
+                FetchPlan::Planned { .. } => {
+                    for &blk in st.buffers[b].pending_blocks() {
+                        match st.read_q.enqueue(blk, b as u32) {
+                            EnqueueOutcome::Full => {
+                                unreachable!("slot pre-check guarantees space")
+                            }
+                            EnqueueOutcome::Coalesced => st.it.loads_coalesced += 1,
+                            EnqueueOutcome::Queued => {}
+                        }
+                    }
+                }
+                FetchPlan::Blocked { blocks } if self.fast_forward => {
+                    // Queue pressure: park until the queue could fit a
+                    // plan of this size. The plan can only grow while
+                    // parked (pops free space, nothing else changes),
+                    // so earlier attempts would re-plan and discard —
+                    // provably the same simulated behavior as the
+                    // reference path's retry-every-cycle below.
+                    let nbkt = blocks.clamp(PrefetchBuffer::MIN_FETCH_SLOTS, need_cap);
+                    st.parked_buckets[nbkt * pw + (b >> 7)] |= 1u128 << (b & 127);
+                    st.parked_need[b] = nbkt as u32;
+                    st.parked_count += 1;
+                    st.union_avail = usize::MAX;
+                }
+                FetchPlan::Blocked { .. } => {
+                    // Queue pressure: retry next cycle.
+                    st.buf_active.insert(b);
+                }
+                FetchPlan::None => {}
+            }
+            if !had_head && st.buffers[b].peek().is_some() {
+                st.tree.wake_port(b);
+            }
+        }
+        work.clear();
+        st.buf_scratch = work;
+    }
+
+    /// Whether the root may pop this cycle: the output buffer has room for
+    /// one more element and the store path is not backed up.
+    fn root_space(&self, st: &IterState) -> usize {
+        usize::from(
+            st.bytes_accum + st.elem_bytes <= self.pu_cfg.output_buffer_bytes as u64
+                && st.pending_ptr_blocks < 16
+                && st.write_q.len() < self.pu_cfg.write_queue_entries,
+        )
+    }
+
+    /// Step 5: computes the root back-pressure, ticks the merge tree
+    /// against the prefetch-buffer ports, re-activates awoken buffers,
+    /// samples the instrumentation, handles the root pop (output-buffer
+    /// accounting, store requests, pointer-write pacing, optional SpMV
+    /// reduction), and runs the pointer-store drain and final flush.
     ///
     /// Returns the popped packet and whether any leaf pop left its
     /// buffer ready to plan a fetch — the two signals the epoch drain
     /// breaks on (an EOL can complete a round and change the final
     /// flush gates; an awoken buffer needs step 4 next cycle).
-    #[allow(clippy::too_many_arguments)]
-    fn tree_cycle(
-        trace: &mut Option<PuTraceState>,
-        event_driven: bool,
-        count_feed: bool,
-        pu_cfg: &PuConfig,
-        layout: &AddressLayout,
-        p: &IterParams<'_>,
-        st: &mut IterState,
-        total_rounds: usize,
-        elem_bytes: u64,
-    ) -> (Option<Packet>, bool) {
-        let root_space = usize::from(
-            st.bytes_accum + elem_bytes <= pu_cfg.output_buffer_bytes as u64
-                && st.pending_ptr_blocks < 16
-                && st.write_q.len() < pu_cfg.write_queue_entries,
-        );
+    #[inline]
+    fn tree_cycle(&mut self, p: &IterParams<'_>, st: &mut IterState) -> (Option<Packet>, bool) {
+        let root_space = self.root_space(st);
         if root_space == 0 {
             st.it.output_stall_cycles += 1;
         }
         let mut ports = BufferPorts {
             buffers: &mut st.buffers,
             popped: std::mem::take(&mut st.popped_scratch),
-            event_driven,
-            count_feed,
+            event_driven: self.fast_forward,
+            count_feed: self.trace.is_some(),
             fed: 0,
             starved: 0,
         };
@@ -1407,25 +1246,15 @@ impl ProcessingUnit {
         }
         awoken.clear();
         st.popped_scratch = awoken;
-        if let Some(ts) = trace.as_mut() {
+        if let Some(ts) = self.trace.as_mut() {
             ts.prefetch_hits += fed;
             ts.prefetch_misses += starved;
             if st.cycles.is_multiple_of(ts.interval) {
-                let now = ts.cycle_base + st.cycles;
-                let fill = st.tree.occupancy() as u64;
-                let held: usize = st.buffers.iter().map(|b| b.held()).sum();
-                ts.tree_fill.record(fill);
-                ts.read_q_occ.record(st.read_q.len() as u64);
-                ts.write_q_occ.record(st.write_q.len() as u64);
-                ts.prefetch_held.record(held as u64);
-                ts.tracer.counter(now, "pu.tree_fill", fill);
-                ts.tracer
-                    .counter(now, "pu.read_queue", st.read_q.len() as u64);
-                ts.tracer
-                    .counter(now, "pu.write_queue", st.write_q.len() as u64);
-                ts.tracer.counter(now, "pu.prefetch_held", held as u64);
+                ts.sample(st.cycles, st);
             }
         }
+        let elem_bytes = st.elem_bytes;
+        let wq_cap = self.pu_cfg.write_queue_entries;
         match popped {
             Some(Packet::Nz {
                 major,
@@ -1469,22 +1298,22 @@ impl ProcessingUnit {
                 st.last_key_in_run = None;
             }
             None => {
-                if root_space == 1 && (st.tree.rounds_completed() as usize) < total_rounds {
+                if root_space == 1 && !st.rounds_done() {
                     st.it.root_stall_cycles += 1;
                 }
             }
         }
         // Drain one pending pointer-block store per cycle.
-        if st.pending_ptr_blocks > 0 && st.write_q.len() < pu_cfg.write_queue_entries {
+        if st.pending_ptr_blocks > 0 && st.write_q.len() < wq_cap {
             st.write_q.push_back(AddressLayout::block_of(
-                layout.out_ptr + (st.ptr_cursor - st.pending_ptr_blocks) * BLOCK_BYTES,
+                self.layout.out_ptr + (st.ptr_cursor - st.pending_ptr_blocks) * BLOCK_BYTES,
             ));
             st.pending_ptr_blocks -= 1;
         }
         // Final flush when merging finished: one partial-block store
         // per cycle so even a tiny write queue drains it.
-        if st.tree.rounds_completed() as usize >= total_rounds {
-            if st.bytes_accum > 0 && st.write_q.len() < pu_cfg.write_queue_entries {
+        if st.rounds_done() {
+            if st.bytes_accum > 0 && st.write_q.len() < wq_cap {
                 let off = st.stored_nzs * 4;
                 st.write_q.push_back(AddressLayout::block_of(
                     st.out_bases[st.final_flush_pushed] + off,
@@ -1510,6 +1339,140 @@ impl ProcessingUnit {
         (popped, awoken_any)
     }
 
+    /// Event scheduler, quiescent jump: when every pipeline step is
+    /// provably unable to act (the PU is *quiescent*), jumps over the
+    /// longest span of cycles in which that stays true — bounded by the
+    /// next DRAM-side event the PU could observe, by the next host
+    /// injection cycle and by `budget` — bulk-accounting the stall
+    /// statistics and trace samples the per-cycle path would have
+    /// produced. The skipped cycles are bit-identical no-ops: every
+    /// quiescence input (queues, buffers, tree, controller state) is
+    /// frozen until one of those bounds, so stepping them one by one
+    /// would change nothing. Returns whether it advanced.
+    fn try_quiescent_skip(&mut self, p: &IterParams<'_>, st: &mut IterState, budget: u64) -> bool {
+        let rounds_done = st.rounds_done();
+        let root_space = self.root_space(st);
+        let wq_full = st.write_q.len() >= self.pu_cfg.write_queue_entries;
+        // Short-circuit order: O(1) checks that are false on most busy
+        // cycles come first, so the per-cycle overhead of the probe is a
+        // couple of branches; the queue scans at the end only run on
+        // cycles that are already nearly quiescent.
+        let quiescent = st.buf_active.is_empty()
+            // Tree has no scheduled PE and the root cannot merge.
+            && st.tree.is_quiescent(&PeekPorts(&st.buffers), root_space)
+            // Step 1 would deliver nothing: no response is ready.
+            && self
+                .mem
+                .next_response_at()
+                .is_none_or(|t| t > self.mem.now())
+            // Step 5's post-tree drains would push nothing.
+            && (st.pending_ptr_blocks == 0 || wq_full)
+            // The final flush would push nothing.
+            && (!rounds_done
+                || ((st.bytes_accum == 0 || wq_full)
+                    && !(st.pending_ptr_blocks == 0
+                        && matches!(p.out, OutputMode::FinalCsc { ncols }
+                            if st.ptr_cursor < (ncols + 1).div_ceil(8)))))
+            && self.controller_frozen(p, st)
+            // Step 2 would issue nothing: both issue slots blocked.
+            && st
+                .read_q
+                .next_to_issue()
+                .is_none_or(|b| !self.mem.can_accept(&MemRequest::read(b, 0)))
+            && st
+                .write_q
+                .front()
+                .is_none_or(|&b| !self.mem.can_accept(&MemRequest::write(b, 0)));
+        if !quiescent {
+            return false;
+        }
+        let n_mem = self.mem.next_event_cycle().map_or(u64::MAX, |ev| {
+            self.clock
+                .cycles_before(ev - self.mem.now(), self.dram_tick_accum)
+        });
+        // Host injections run on exact PU cycles: never skip one.
+        let host_cap = match self.pu_cfg.host_read_interval {
+            Some(interval) if !rounds_done => (st.cycles / interval + 1) * interval - st.cycles - 1,
+            _ => u64::MAX,
+        };
+        assert!(
+            n_mem != u64::MAX || host_cap != u64::MAX,
+            "PU deadlock suspected: quiescent with no pending events"
+        );
+        // The pause budget caps the skip too, so the loop pauses exactly
+        // at the requested cycle: the split bulk advance stays
+        // bit-identical because the tick accumulator arithmetic is
+        // associative over `n`.
+        let n = n_mem.min(host_cap).min(budget);
+        if n == 0 {
+            return false;
+        }
+        if root_space == 0 {
+            st.it.output_stall_cycles += n;
+        } else if !rounds_done {
+            st.it.root_stall_cycles += n;
+        }
+        if let Some(ts) = self.trace.as_mut() {
+            // checked_div: sampling is off when the interval is 0. No
+            // leaf pops occur in the window, so fed/starved stay put and
+            // the interval samples see the frozen occupancies.
+            if let Some(q) = st.cycles.checked_div(ts.interval) {
+                let mut c = (q + 1) * ts.interval;
+                while c <= st.cycles + n {
+                    ts.sample(c, st);
+                    c += ts.interval;
+                }
+            }
+        }
+        self.clock
+            .advance(&mut self.mem, &mut self.dram_tick_accum, n);
+        st.elapse(n);
+        true
+    }
+
+    /// Event scheduler, epoch entry (see DESIGN.md, "Epoch calculus"):
+    /// the PU is *not* quiescent — the tree has work — but the controller
+    /// FSM and every prefetch buffer are provably frozen: no buffer is
+    /// scheduled to plan, the pointer-issue gate and descriptor release
+    /// are blocked on state only a read response can change, and the
+    /// earliest possible read response is a known bus cycle away. Until
+    /// then a cycle degenerates to steps 2, 5 and 6, which
+    /// [`ProcessingUnit::epoch_drain`] runs for the bounded span (capped
+    /// at `budget`). Returns whether it advanced.
+    fn try_epoch(&mut self, p: &IterParams<'_>, st: &mut IterState, budget: u64) -> bool {
+        if st.rounds_done() || !st.buf_active.is_empty() || !self.controller_frozen(p, st) {
+            return false;
+        }
+        let now0 = self.mem.now();
+        let remaining = match self.mem.earliest_read_response_at(HOST_REQ_BIT) {
+            Some(r) if r <= now0 => 0,
+            Some(r) => self.clock.cycles_before(r - now0, self.dram_tick_accum),
+            None => u64::MAX,
+        }
+        .min(budget);
+        if remaining == 0 {
+            return false;
+        }
+        // Step-4 invariant: the previous cycle's walk un-parked every
+        // buffer the (frozen) queue headroom could satisfy, so skipping
+        // the walk during the epoch is a no-op.
+        #[cfg(debug_assertions)]
+        if st.parked_count > 0 {
+            let avail = self.pu_cfg.read_queue_entries - st.read_q.len();
+            for nb in PrefetchBuffer::MIN_FETCH_SLOTS..=avail.min(st.need_cap) {
+                for w in 0..st.pw {
+                    debug_assert_eq!(
+                        st.parked_buckets[nb * st.pw + w],
+                        0,
+                        "parked buffer fireable at epoch entry"
+                    );
+                }
+            }
+        }
+        self.epoch_drain(p, st, remaining);
+        true
+    }
+
     /// Brings the memory system to absolute bus cycle `target`,
     /// applying ticks the epoch drain deferred. Matured responses the
     /// PU discards unseen (write acknowledgments, concurrent-host
@@ -1532,95 +1495,45 @@ impl ProcessingUnit {
         }
     }
 
-    /// The fused epoch loop (see DESIGN.md, "Epoch calculus"). Entered
-    /// by [`ProcessingUnit::iter_loop`] once the controller FSM and
-    /// every prefetch buffer are provably frozen and no read data can
-    /// return for `remaining` cycles; per cycle it runs only the issue
-    /// slots, the merge tree, and the output drains, deferring DRAM
-    /// ticks into `lazy` and flushing them in bulk on cycles that
-    /// touch the memory system. Every observable interaction happens
-    /// at the same cycle and the same memory time as the per-cycle
-    /// path. On exit the memory system is at the current bus cycle and
-    /// `dram_tick_accum` holds the sub-cycle remainder, as the
-    /// per-cycle loop expects.
-    #[allow(clippy::too_many_arguments)]
-    fn epoch_drain(
-        &mut self,
-        p: &IterParams<'_>,
-        st: &mut IterState,
-        total_rounds: usize,
-        elem_bytes: u64,
-        count_feed: bool,
-        mem_base: u64,
-        mut remaining: u64,
-        max_cycles: u64,
-    ) {
-        let (dram_num, dram_den) = self.ticks;
-        let pu_cfg = &self.pu_cfg;
-        let mem = &mut self.mem;
-        let next_req_id = &mut self.next_req_id;
-        let mut lazy = self.dram_tick_accum;
+    /// The fused epoch loop (see DESIGN.md, "Epoch calculus"). Per cycle
+    /// it runs only the [`ProcessingUnit::issue`] step and the
+    /// [`ProcessingUnit::tree_cycle`] step — the same methods the full
+    /// step runs — deferring DRAM ticks and flushing them in bulk before
+    /// any cycle that issues, so every memory interaction happens at the
+    /// same cycle and the same memory time as on the per-cycle path.
+    /// Steps 1, 3 and 4 are provably frozen for the `remaining` cycles;
+    /// the step-1 discard drain is folded into the tick flush. On exit
+    /// the memory system is at the current bus cycle and
+    /// `dram_tick_accum` holds the sub-cycle remainder, as the full step
+    /// expects.
+    fn epoch_drain(&mut self, p: &IterParams<'_>, st: &mut IterState, mut remaining: u64) {
+        let mem_base = self.mem.now();
+        let accum0 = self.dram_tick_accum;
+        // PU cycles whose DRAM ticks are not applied yet.
+        let mut deferred = 0u64;
         loop {
-            st.cycles += 1;
-            assert!(st.cycles < max_cycles, "PU deadlock suspected");
-            // Step 2 replica (+ the step-1 discard drain, folded into
-            // the tick flush): runs only on cycles with issue work, so
-            // quiet stretches batch their DRAM ticks into one advance.
-            let host_due = pu_cfg.host_read_interval.is_some_and(|iv| {
-                st.cycles.is_multiple_of(iv) && (st.tree.rounds_completed() as usize) < total_rounds
-            });
+            st.elapse(1);
             let mut cap_after = u64::MAX;
-            if host_due || st.read_q.next_to_issue().is_some() || !st.write_q.is_empty() {
-                Self::epoch_advance_to(mem, mem_base + lazy / dram_den);
-                if let Some(block) = st.read_q.next_to_issue() {
-                    let req = MemRequest::read(block, *next_req_id);
-                    if mem.can_accept(&req) && mem.try_enqueue(req) {
-                        *next_req_id += 1;
-                        st.read_q.mark_issued(block);
-                        st.it.loads_issued += 1;
-                        // The fresh read shrinks the horizon: a
-                        // store-to-load forwarded response can
-                        // mature on the very next bus cycle.
-                        let r = mem
-                            .earliest_read_response_at(HOST_REQ_BIT)
-                            .expect("a read was just enqueued");
-                        debug_assert!(r > mem.now(), "epoch bound violated");
-                        let span = (r - mem.now()) * dram_den;
-                        cap_after = (span - 1 - lazy % dram_den) / dram_num;
-                    }
-                }
-                if host_due {
-                    let interval = pu_cfg.host_read_interval.expect("host_due");
-                    let addr =
-                        0xC000_0000u64 + (st.cycles / interval).wrapping_mul(0x9E37) % (64 << 20);
-                    let req = MemRequest::read(addr & !63, HOST_REQ_BIT | st.cycles);
-                    if mem.can_accept(&req) {
-                        let _ = mem.try_enqueue(req);
-                    }
-                }
-                if let Some(&block) = st.write_q.front() {
-                    let req = MemRequest::write(block, *next_req_id);
-                    if mem.can_accept(&req) && mem.try_enqueue(req) {
-                        *next_req_id += 1;
-                        st.write_q.pop_front();
-                        st.it.stores_issued += 1;
-                    }
+            if self.host_read(st).is_some()
+                || st.read_q.next_to_issue().is_some()
+                || !st.write_q.is_empty()
+            {
+                let (bus, accum) = self.clock.ticks(accum0, deferred);
+                Self::epoch_advance_to(&mut self.mem, mem_base + bus);
+                if self.issue(st) {
+                    // The fresh read shrinks the horizon: a
+                    // store-to-load forwarded response can mature on the
+                    // very next bus cycle.
+                    let r = self
+                        .mem
+                        .earliest_read_response_at(HOST_REQ_BIT)
+                        .expect("a read was just enqueued");
+                    debug_assert!(r > self.mem.now(), "epoch bound violated");
+                    cap_after = self.clock.cycles_before(r - self.mem.now(), accum) - 1;
                 }
             }
-            // Step 5 replica; steps 1, 3, and 4 are provably frozen.
-            let (popped, awoken_any) = Self::tree_cycle(
-                &mut self.trace,
-                true,
-                count_feed,
-                pu_cfg,
-                &self.layout,
-                p,
-                st,
-                total_rounds,
-                elem_bytes,
-            );
-            // Step 6, deferred.
-            lazy += dram_num;
+            let (popped, awoken_any) = self.tree_cycle(p, st);
+            deferred += 1;
             remaining = (remaining - 1).min(cap_after);
             if remaining == 0
                 || awoken_any
@@ -1630,10 +1543,9 @@ impl ProcessingUnit {
                 break;
             }
         }
-        // Re-establish the per-cycle invariant (memory time current,
-        // accumulator sub-cycle) before rejoining the outer loop.
-        Self::epoch_advance_to(mem, mem_base + lazy / dram_den);
-        self.dram_tick_accum = lazy % dram_den;
+        let (bus, accum) = self.clock.ticks(accum0, deferred);
+        Self::epoch_advance_to(&mut self.mem, mem_base + bus);
+        self.dram_tick_accum = accum;
     }
 
     /// Finalizes one iteration driven through [`ProcessingUnit::iter_loop`]:
@@ -1669,7 +1581,7 @@ impl ProcessingUnit {
 }
 
 /// First set bit at index `>= from` across the `u128` words, if any.
-/// Backs the parked-buffer walk of `run_rounds` step 4.
+/// Backs the parked-buffer walk of [`ProcessingUnit::plan_fetches`].
 fn next_set_bit(words: &[u128], from: usize) -> Option<usize> {
     let mut wi = from >> 7;
     if wi >= words.len() {

@@ -243,20 +243,32 @@ fn dram_command_logs_identical_across_epoch_and_fast_forward() {
 
 /// Host-interference traffic injects extra DRAM requests on a fixed PU
 /// cycle cadence; the fast path must never skip over an injection cycle.
+/// All three schedulers — per-cycle reference, per-cycle fast-forward
+/// (`epoch` off) and epoch-batched fast-forward — issue host reads from
+/// the same step, so outputs, cycles, per-PU stats and the trace must
+/// agree at every rate, including an interval of 1 (a host read every
+/// cycle, inside every epoch drain) and intervals coprime to the DRAM
+/// clock ratio.
 #[test]
 fn fast_forward_preserves_host_interference_cadence() {
     with_checker(|| {
-        let m = gen::uniform(128, 1024, 0x1F);
-        let interfering = |interval: u64, fast: bool| {
-            let mut cfg = config(2, 1, RowPolicy::OpenPage, fast);
-            cfg.pu = cfg.pu.with_host_interference(interval);
-            cfg
-        };
-        for interval in [50u64, 97] {
-            let reference = MendaSystem::new(interfering(interval, false)).transpose(&m);
-            let fast = MendaSystem::new(interfering(interval, true)).transpose(&m);
-            assert_eq!(reference.output, m.to_csc(), "interference {interval}");
-            assert_identical(&reference, &fast, &format!("interference {interval}"));
+        let mut inputs = matrices();
+        inputs.push(("uniform", gen::uniform(128, 1024, 0x1F)));
+        for (name, m) in inputs {
+            for interval in [1u64, 4, 16, 37, 50, 97] {
+                let interfering = |fast: bool, epoch: bool| {
+                    let mut cfg = config(2, 1, RowPolicy::OpenPage, fast).with_epoch(epoch);
+                    cfg.pu = cfg.pu.with_host_interference(interval);
+                    cfg
+                };
+                let what = format!("{name} interference {interval}");
+                let reference = MendaSystem::new(interfering(false, false)).transpose(&m);
+                assert_eq!(reference.output, m.to_csc(), "{what}");
+                for epoch in [false, true] {
+                    let fast = MendaSystem::new(interfering(true, epoch)).transpose(&m);
+                    assert_identical(&reference, &fast, &format!("{what} epoch={epoch}"));
+                }
+            }
         }
     });
 }

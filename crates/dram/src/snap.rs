@@ -31,7 +31,14 @@ impl std::error::Error for SnapError {}
 
 /// FNV-1a 64-bit hash, used for payload checksums and fingerprints.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64-bit hash: `fnv1a_extend(fnv1a(a), b)` equals
+/// `fnv1a` of `a` followed by `b`.
+#[inline]
+pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    let mut h = hash;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01B3);
