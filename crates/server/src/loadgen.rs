@@ -245,6 +245,12 @@ fn drive_connection(
 ) -> Result<ConnectionResult, String> {
     let stream =
         TcpStream::connect(&options.addr).map_err(|e| format!("connect {}: {e}", options.addr))?;
+    // Pipelined submits are small writes behind unacknowledged ones;
+    // without this, Nagle's algorithm holds each until the daemon's
+    // delayed ACK.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set_nodelay: {e}"))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;

@@ -14,6 +14,7 @@
 //!                │ per-connection mpsc
 //!                ▼
 //!        writer thread per connection ──▶ client
+//!          (TCP_NODELAY; one write per batch of ready `\n`-ended lines)
 //! ```
 //!
 //! Robustness rules:
@@ -35,6 +36,11 @@
 //! * **Disconnects are absorbed.** If the submitting client is gone when
 //!   a result is ready, delivery fails silently into the `undeliverable`
 //!   counter and the worker moves on.
+//! * **Replies leave at once.** Every accepted socket has `TCP_NODELAY`
+//!   set, and the writer sends each batch of ready lines with one
+//!   `write_all`. With Nagle's algorithm on, a small write behind an
+//!   unacknowledged one — the second half of a split reply, or the next
+//!   reply — waits ~40 ms for the client's delayed ACK.
 //! * **Shutdown drains.** `shutdown` (drain mode) stops admission,
 //!   finishes queued work, then stops workers and the acceptor;
 //!   `drain: false` cancels the queue first.
@@ -310,10 +316,15 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads one `\n`-terminated line with a hard length cap. Returns
-/// `Ok(None)` on EOF and `Err(())` when the line exceeds the cap (the
-/// oversized remainder is drained so the connection can continue).
-fn read_line_capped(reader: &mut BufReader<TcpStream>, buf: &mut String) -> Result<Option<()>, ()> {
+/// Reads one `\n`-terminated line of raw bytes with a hard length cap.
+/// Returns `Ok(None)` on EOF and `Err(())` when the line exceeds the cap
+/// (the oversized remainder is drained so the connection can continue).
+/// The caller decodes the complete line: a multi-byte UTF-8 character
+/// may be split across two TCP reads.
+fn read_line_capped(
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut Vec<u8>,
+) -> Result<Option<()>, ()> {
     buf.clear();
     let mut truncated = false;
     loop {
@@ -333,7 +344,7 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, buf: &mut String) -> Resu
         let newline = available.iter().position(|&b| b == b'\n');
         let take = newline.map_or(available.len(), |i| i + 1);
         if !truncated && buf.len() + take <= MAX_LINE_BYTES {
-            buf.push_str(&String::from_utf8_lossy(&available[..take]));
+            buf.extend_from_slice(&available[..take]);
         } else {
             truncated = true;
         }
@@ -348,7 +359,34 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, buf: &mut String) -> Resu
 /// so it cannot collide with a real response.
 const CLOSE_SENTINEL: &str = "\0";
 
+/// Sends reply lines to the client until the reader's
+/// [`CLOSE_SENTINEL`], a write error or the last sender is gone. Each
+/// wakeup drains every line already on the channel into one buffer, each
+/// line ending in `\n`, and sends the batch with one `write_all`. Lines
+/// before a sentinel met mid-batch are still sent.
+fn write_replies(rx: &mpsc::Receiver<String>, mut out: TcpStream) {
+    let mut batch = Vec::new();
+    for first in rx {
+        batch.clear();
+        let mut closing = false;
+        for line in std::iter::once(first).chain(rx.try_iter()) {
+            if line == CLOSE_SENTINEL {
+                closing = true;
+                break;
+            }
+            batch.extend_from_slice(line.as_bytes());
+            batch.push(b'\n');
+        }
+        if out.write_all(&batch).is_err() || closing {
+            return;
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
+    // Without it, Nagle's algorithm holds a reply written right behind
+    // an unacknowledged one until the client's delayed ACK (~40 ms).
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -360,22 +398,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) 
     // writing into a dead socket's kernel buffer.
     let writer = std::thread::Builder::new()
         .name("menda-conn-writer".into())
-        .spawn(move || {
-            let mut out = write_half;
-            for line in rx {
-                if line == CLOSE_SENTINEL {
-                    return;
-                }
-                if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
-                    return;
-                }
-                let _ = out.flush();
-            }
-        })
+        .spawn(move || write_replies(&rx, write_half))
         .expect("spawn writer");
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         match read_line_capped(&mut reader, &mut line) {
             Ok(None) => break,
@@ -390,7 +417,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) 
             }
             Ok(Some(())) => {}
         }
-        let trimmed = line.trim();
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -625,7 +653,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let failed = matches!(response, Response::Failed { .. });
-        let delivered = job.reply.send(response.serialize()).is_ok();
+        let line = response.serialize();
+        // Count the job and deliver its result under one lock, so a
+        // `status` sent after reading the result already counts it.
         let mut s = shared.state.lock().expect("state lock");
         s.running -= 1;
         if failed {
@@ -633,7 +663,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         } else {
             s.counters.completed += 1;
         }
-        if !delivered {
+        if job.reply.send(line).is_err() {
             s.counters.undeliverable += 1;
         }
         if s.queue.is_empty() && s.running == 0 {

@@ -9,7 +9,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use menda_core::{Digest, JobKernel, JobSpec, MatrixSource};
 use menda_server::{ServerConfig, ServerHandle};
@@ -38,8 +38,7 @@ impl Client {
 
     fn send(&mut self, line: &str) {
         self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .expect("send");
     }
 
@@ -132,6 +131,69 @@ fn ping_status_and_roundtrip() {
     let status = client.recv_type("status");
     assert_eq!(num_field(&status, "completed"), 1.0);
     assert_eq!(num_field(&status, "failed"), 0.0);
+    server.shutdown(true);
+    server.join();
+}
+
+/// Two requests in one segment get both replies without waiting on the
+/// client's delayed ACK. A reply written behind an unacknowledged one on
+/// a Nagle socket, or split over two writes, waits ~40 ms for it, so
+/// 50 such rounds would take about 2 s.
+#[test]
+fn pipelined_replies_do_not_wait_for_delayed_ack() {
+    let mut server = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&server);
+    client.writer.set_nodelay(true).expect("nodelay");
+    let started = Instant::now();
+    for _ in 0..50 {
+        client
+            .writer
+            .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n")
+            .expect("send");
+        assert_eq!(type_of(&client.recv()), "pong");
+        assert_eq!(type_of(&client.recv()), "pong");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 pipelined ping rounds took {elapsed:?}"
+    );
+    server.shutdown(true);
+    server.join();
+}
+
+/// A multi-byte UTF-8 character cut between two TCP reads arrives
+/// intact: the daemon decodes whole lines, not read chunks.
+#[test]
+fn utf8_character_split_across_reads_is_preserved() {
+    let mut server = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&server);
+    client.writer.set_nodelay(true).expect("nodelay");
+    let line = format!(
+        "{{\"op\":\"submit\",\"tag\":\"é\",\"job\":{}}}\n",
+        tiny_spec().to_json()
+    );
+    // Cut after the first of the two bytes of 'é'.
+    let cut = line.find('é').expect("tag in line") + 1;
+    client
+        .writer
+        .write_all(&line.as_bytes()[..cut])
+        .expect("send head");
+    std::thread::sleep(Duration::from_millis(100));
+    client
+        .writer
+        .write_all(&line.as_bytes()[cut..])
+        .expect("send tail");
+    assert_eq!(type_of(&client.recv()), "accepted");
+    let result = client.recv_type("result");
+    assert!(is_ok(&result), "job failed: {result:?}");
+    assert_eq!(str_field(&result, "tag"), "é");
     server.shutdown(true);
     server.join();
 }
